@@ -3,7 +3,7 @@
 
 use infuserki_serve::ServeConfig;
 
-/// Configuration of a multi-replica router front.
+/// Configuration of the router front (one replica or many).
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Number of model replicas, each its own scheduler thread with its own
@@ -11,10 +11,11 @@ pub struct RouterConfig {
     pub replicas: usize,
     /// Per-replica scheduler configuration (every replica gets a clone).
     pub serve: ServeConfig,
-    /// Bound of each tenant's pending queue; a submission past it is
-    /// rejected [`infuserki_serve::RejectReason::TenantQueueFull`]
-    /// (backpressure per tenant, so one tenant's backlog never consumes
-    /// another's headroom).
+    /// Bound of each tenant's pending queue (default: the scheduler queue
+    /// bound, so one replica admits what its bare scheduler would); a
+    /// submission past it is rejected
+    /// [`infuserki_serve::RejectReason::TenantQueueFull`] (backpressure per
+    /// tenant, so one tenant's backlog never consumes another's headroom).
     pub tenant_queue_capacity: usize,
     /// Maximum requests a tenant may have in flight across the fleet
     /// (dispatched, not yet responded). 0 = unlimited.
@@ -38,10 +39,11 @@ pub struct RouterConfig {
 
 impl Default for RouterConfig {
     fn default() -> Self {
+        let serve = ServeConfig::default();
         RouterConfig {
-            replicas: 2,
-            serve: ServeConfig::default(),
-            tenant_queue_capacity: 256,
+            replicas: 1,
+            tenant_queue_capacity: serve.queue_capacity,
+            serve,
             max_tenant_inflight: 0,
             tenant_bucket_capacity: 0.0,
             tenant_refill_per_sec: 0.0,

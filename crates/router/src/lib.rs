@@ -1,14 +1,17 @@
 //! # infuserki-router
 //!
-//! The fleet layer over `infuserki-serve`: one front door, N in-process
-//! model replicas.
+//! The serving front over `infuserki-serve`: one front door, N in-process
+//! model replicas (N = 1 by default).
 //!
 //! A single continuous-batching scheduler saturates at one model instance.
 //! [`spawn_router`] brings up `replicas` independent schedulers — each its
-//! own model copy, KV block pool and budget — behind one cloneable
-//! [`RouterClient`] that speaks the same submit/control vocabulary as the
-//! single-scheduler [`infuserki_serve::Client`] (both implement
-//! [`infuserki_serve::Frontend`], so the JSONL TCP front is shared).
+//! own model copy, KV block pool and budget, reached through its
+//! [`infuserki_serve::Client`] — behind one cloneable [`RouterClient`].
+//! That client is the only front: [`server::run`] serves it as
+//! newline-delimited JSON over TCP, and the `serve` binary runs every
+//! deployment through it, whatever `--replicas` says. Submissions return
+//! the scheduler's own [`infuserki_serve::ResponseHandle`] and control ops
+//! use the scheduler's [`infuserki_serve::ControlOp`] vocabulary.
 //!
 //! Three mechanisms make the fleet more than a load balancer:
 //!
@@ -42,7 +45,8 @@ pub mod affinity;
 pub mod config;
 pub mod metrics;
 pub mod router;
+pub mod server;
 
 pub use config::RouterConfig;
 pub use metrics::RouterMetrics;
-pub use router::{spawn_router, PendingResponse, RouterClient, RouterHandle};
+pub use router::{spawn_router, RouterClient, RouterHandle};

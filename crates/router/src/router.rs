@@ -24,17 +24,18 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use infuserki_nn::{LayerHook, TransformerLm};
 use infuserki_serve::{
-    spawn_scheduler, BundleInfo, CancelToken, Client, ControlError, ControlOp, ControlOutcome,
-    EngineLimits, Frontend, GateReport, Outcome, RejectReason, RequestId, RequestKind, Response,
-    SchedulerHandle, SubmitError, SubmitOpts,
+    publish_bundle, spawn_scheduler, BundleInfo, CancelToken, Client, ControlError, ControlOp,
+    ControlOutcome, EngineLimits, MetricsSnapshot, Outcome, RejectReason, RequestId, RequestKind,
+    Response, ResponseHandle, SchedulerHandle, SubmitError, SubmitOpts,
 };
+use serde::{Serialize, Value};
 
 use crate::affinity;
 use crate::config::RouterConfig;
@@ -144,48 +145,10 @@ impl Inner {
     }
 }
 
-/// Awaits one response submitted through [`RouterClient::submit`].
-#[derive(Debug)]
-pub struct PendingResponse {
-    /// The submitted request's id.
-    pub id: RequestId,
-    rx: Receiver<Response>,
-    cancel: CancelToken,
-}
-
-impl PendingResponse {
-    /// Requests cancellation (queued or in-flight).
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// The cancellation token.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Blocks until the terminal outcome arrives.
-    pub fn wait(self) -> Result<Outcome, SubmitError> {
-        self.rx
-            .recv()
-            .map(|r| r.outcome)
-            .map_err(|_| SubmitError::Disconnected)
-    }
-
-    /// Blocks up to `timeout`; `Ok(None)` on timeout.
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<Option<Outcome>, SubmitError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => Ok(Some(r.outcome)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(SubmitError::Disconnected),
-        }
-    }
-}
-
-/// Cloneable handle submitting requests and control ops to the fleet.
-/// Implements [`Frontend`] (the TCP server serves it directly) and
-/// [`infuserki_ingest::BundlePublisher`] (`--watch-kg` publishes through
-/// it, reaching every replica atomically).
+/// Cloneable handle submitting requests and control ops to the fleet — the
+/// only serving front: the TCP server ([`crate::server::run`]) serves it
+/// directly, and its [`infuserki_ingest::BundlePublisher`] impl lets
+/// `--watch-kg` publish to every replica atomically.
 #[derive(Clone)]
 pub struct RouterClient {
     inner: Arc<Inner>,
@@ -203,16 +166,6 @@ impl RouterClient {
         &self.inner.metrics
     }
 
-    /// Per-replica serve metrics snapshots (dead replicas report their last
-    /// state).
-    pub fn replica_metrics(&self) -> Vec<infuserki_serve::MetricsSnapshot> {
-        self.inner
-            .replicas
-            .iter()
-            .map(|r| r.client.metrics())
-            .collect()
-    }
-
     /// How many replicas are currently alive.
     pub fn replicas_alive(&self) -> usize {
         self.inner.alive_flags().iter().filter(|&&a| a).count()
@@ -225,11 +178,11 @@ impl RouterClient {
         kind: RequestKind,
         opts: SubmitOpts,
         tenant: Option<&str>,
-    ) -> Result<PendingResponse, SubmitError> {
+    ) -> Result<ResponseHandle, SubmitError> {
         let (tx, rx) = mpsc::channel();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let cancel = self.submit_with_sender(id, kind, opts, tenant, tx)?;
-        Ok(PendingResponse { id, rx, cancel })
+        Ok(ResponseHandle::new(id, rx, cancel))
     }
 
     /// Submission for callers that own the response channel (the TCP
@@ -284,47 +237,15 @@ impl RouterClient {
 
     /// Executes one knowledge-bundle control op across the fleet. Loads
     /// stage everywhere; promotes are all-or-none (any refusal rolls the
-    /// already-promoted replicas back); rollbacks and listings address
-    /// every / the first live replica.
+    /// already-promoted replicas back); rollbacks address every live
+    /// replica, and listings the first one (the registries march in
+    /// lockstep — all control traffic fans out).
     pub fn control(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
         match op {
             ControlOp::LoadBundle { path } => self.fan_load(&path),
             ControlOp::Promote { version } => self.fan_promote(version, None),
             ControlOp::Rollback => self.fan_rollback(),
             ControlOp::ListBundles => self.first_alive()?.control(ControlOp::ListBundles),
-        }
-    }
-
-    /// Loads, verifies and stages a bundle file on every live replica.
-    pub fn load_bundle(&self, path: &str) -> Result<BundleInfo, ControlError> {
-        match self.fan_load(path)? {
-            ControlOutcome::Loaded(info) => Ok(info),
-            other => unreachable!("load_bundle returned {other:?}"),
-        }
-    }
-
-    /// Promotes a staged version fleet-wide, all-or-none.
-    pub fn promote(&self, version: u32) -> Result<Option<GateReport>, ControlError> {
-        match self.fan_promote(version, None)? {
-            ControlOutcome::Promoted { gate, .. } => Ok(gate),
-            other => unreachable!("promote returned {other:?}"),
-        }
-    }
-
-    /// Restores the previously active version on every live replica.
-    pub fn rollback(&self) -> Result<u32, ControlError> {
-        match self.fan_rollback()? {
-            ControlOutcome::RolledBack { version } => Ok(version),
-            other => unreachable!("rollback returned {other:?}"),
-        }
-    }
-
-    /// Every registered knowledge version, from the first live replica
-    /// (the registries march in lockstep — all control traffic fans out).
-    pub fn list_bundles(&self) -> Result<Vec<BundleInfo>, ControlError> {
-        match self.first_alive()?.control(ControlOp::ListBundles)? {
-            ControlOutcome::Bundles(list) => Ok(list),
-            other => unreachable!("list_bundles returned {other:?}"),
         }
     }
 
@@ -442,93 +363,71 @@ impl RouterClient {
         first.ok_or(ControlError::Disconnected)
     }
 
-    /// Router + per-replica metrics as one JSON object (the wire `metrics`
-    /// op payload in `--replicas` mode).
-    pub fn metrics_json(&self) -> String {
+    /// The wire `metrics` payload, one JSON object: every
+    /// [`MetricsSnapshot`] field at top level as the fleet view
+    /// ([`MetricsSnapshot::merge`] over all replicas — at one replica, that
+    /// replica's own snapshot), then the router's counters, then
+    /// `replicas[i]` = `{alive, dispatched, outstanding, serve}`. Top-level
+    /// `submitted` and `cancelled_queued` are the schedulers' counts; the
+    /// router's own are `tenant_submitted` and `tenant_cancelled_queued`.
+    pub fn metrics_value(&self) -> Value {
         let m = &self.inner.metrics;
         let alive = self.inner.alive_flags();
-        let replicas: Vec<String> = self
+        let snaps: Vec<MetricsSnapshot> = self
             .inner
             .replicas
             .iter()
+            .map(|r| r.client.metrics())
+            .collect();
+        let Value::Object(mut fields) = MetricsSnapshot::merge(&snaps).to_value() else {
+            unreachable!("a snapshot serializes to an object");
+        };
+        let count = |n: u64| Value::Num(n as f64);
+        let gauge = |n: i64| Value::Num(n.max(0) as f64);
+        let replicas = snaps
+            .iter()
             .enumerate()
-            .map(|(i, r)| {
-                format!(
-                    "{{\"alive\":{},\"dispatched\":{},\"outstanding\":{},\"serve\":{}}}",
-                    alive[i],
-                    m.replica_dispatched[i].get(),
-                    m.replica_outstanding[i].get().max(0),
-                    r.client.metrics().to_json()
-                )
+            .map(|(i, snap)| {
+                Value::Object(vec![
+                    ("alive".into(), Value::Bool(alive[i])),
+                    ("dispatched".into(), count(m.replica_dispatched[i].get())),
+                    ("outstanding".into(), gauge(m.replica_outstanding[i].get())),
+                    ("serve".into(), snap.to_value()),
+                ])
             })
             .collect();
-        format!(
-            "{{\"submitted\":{},\"dispatched\":{},\"affinity_hits\":{},\"balanced\":{},\
-             \"rejected_tenant_queue_full\":{},\"failed_replica\":{},\"cancelled_queued\":{},\
-             \"group_rollbacks\":{},\"replicas_alive\":{},\"tenant_queued\":{},\"replicas\":[{}]}}",
-            m.submitted.get(),
-            m.dispatched.get(),
-            m.affinity_hits.get(),
-            m.balanced.get(),
-            m.rejected_tenant_queue_full.get(),
-            m.failed_replica.get(),
-            m.cancelled_queued.get(),
-            m.group_rollbacks.get(),
-            m.replicas_alive.get().max(0),
-            m.tenant_queued.get().max(0),
-            replicas.join(",")
-        )
+        fields.extend([
+            ("tenant_submitted".into(), count(m.submitted.get())),
+            ("dispatched".into(), count(m.dispatched.get())),
+            ("affinity_hits".into(), count(m.affinity_hits.get())),
+            ("balanced".into(), count(m.balanced.get())),
+            (
+                "rejected_tenant_queue_full".into(),
+                count(m.rejected_tenant_queue_full.get()),
+            ),
+            ("failed_replica".into(), count(m.failed_replica.get())),
+            (
+                "tenant_cancelled_queued".into(),
+                count(m.cancelled_queued.get()),
+            ),
+            ("group_rollbacks".into(), count(m.group_rollbacks.get())),
+            ("replicas_alive".into(), gauge(m.replicas_alive.get())),
+            ("tenant_queued".into(), gauge(m.tenant_queued.get())),
+            ("replicas".into(), Value::Array(replicas)),
+        ]);
+        Value::Object(fields)
     }
 }
 
 impl infuserki_ingest::BundlePublisher for RouterClient {
-    /// Fleet-wide load → stage → all-or-none promote. A promote-time NR
-    /// gate refusal on any replica rolls the whole group back and comes
-    /// back typed, so `--watch-kg` drops the batch while every replica
-    /// keeps serving the previous version.
+    /// [`publish_bundle`] through the fleet: a promote-time NR gate refusal
+    /// on any replica rolls the whole group back, so `--watch-kg` drops the
+    /// batch while every replica keeps serving the previous version.
     fn publish(
         &self,
         path: &std::path::Path,
     ) -> Result<infuserki_ingest::PublishReport, infuserki_ingest::PublishError> {
-        use infuserki_ingest::{PublishError, PublishReport};
-        let path_str = path.to_str().ok_or_else(|| {
-            PublishError::Other(format!("non-utf8 bundle path {}", path.display()))
-        })?;
-        let info = self
-            .load_bundle(path_str)
-            .map_err(|e| PublishError::Other(e.to_string()))?;
-        match self.promote(info.version) {
-            Ok(_) => Ok(PublishReport {
-                version: info.version,
-            }),
-            Err(ControlError::NrGateFailed { gate, .. }) => Err(PublishError::GateRefused {
-                probes: gate.probes as u32,
-                staged_correct: gate.staged_correct as u32,
-                active_correct: gate.active_correct as u32,
-            }),
-            Err(e) => Err(PublishError::Other(e.to_string())),
-        }
-    }
-}
-
-impl Frontend for RouterClient {
-    fn submit_request(
-        &self,
-        id: RequestId,
-        kind: RequestKind,
-        opts: SubmitOpts,
-        tenant: Option<&str>,
-        tx: Sender<Response>,
-    ) -> Result<CancelToken, SubmitError> {
-        self.submit_with_sender(id, kind, opts, tenant, tx)
-    }
-
-    fn control_op(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
-        self.control(op)
-    }
-
-    fn metrics_json(&self) -> String {
-        RouterClient::metrics_json(self)
+        publish_bundle(path, |op| self.control(op))
     }
 }
 
@@ -1055,7 +954,7 @@ mod tests {
         let (client, handle) = spawn_router(small_cfg(1), demo_pair).unwrap();
         client.kill_replica(0);
         assert!(matches!(
-            client.list_bundles(),
+            client.control(ControlOp::ListBundles),
             Err(ControlError::Disconnected)
         ));
         handle.shutdown();
@@ -1063,14 +962,53 @@ mod tests {
 
     #[test]
     fn metrics_json_is_wire_shaped() {
-        let (client, handle) = spawn_router(small_cfg(2), demo_pair).unwrap();
-        let j = RouterClient::metrics_json(&client);
-        assert!(j.contains("\"affinity_hits\""));
-        assert!(j.contains("\"replicas\":["));
-        assert!(j.contains("\"serve\":{"));
-        // It must parse as one JSON object (the wire `metrics` op embeds it).
-        let v: serde::Value = serde_json::from_str(&j).unwrap();
-        assert!(v.get_field("replicas").is_some());
-        handle.shutdown();
+        kernels::set_num_threads(1);
+        let gen =
+            |i: usize| RequestKind::Generate(GenerateSpec::greedy(vec![1 + i, 2, 3], 4, None));
+        let num = |v: &Value, k: &str| v.get_field(k).and_then(Value::as_f64).unwrap();
+        for replicas in [1, 2] {
+            let (client, handle) = spawn_router(small_cfg(replicas), demo_pair).unwrap();
+            for i in 0..4 {
+                let h = client.submit(gen(i), SubmitOpts::default(), None).unwrap();
+                assert!(matches!(h.wait().unwrap(), Outcome::Generated { .. }));
+            }
+            let v = client.metrics_value();
+            // It must render as one JSON object (the wire `metrics` op
+            // embeds it) and parse back unchanged.
+            let line = serde_json::to_string(&v).unwrap();
+            assert_eq!(serde_json::from_str::<Value>(&line).unwrap(), v);
+            let Some(Value::Array(reps)) = v.get_field("replicas") else {
+                panic!("replicas array missing: {line}");
+            };
+            assert_eq!(reps.len(), replicas);
+            for r in reps {
+                assert_eq!(r.get_field("alive"), Some(&Value::Bool(true)));
+                assert!(r.get_field("dispatched").is_some());
+                assert!(r.get_field("outstanding").is_some());
+            }
+            let serves: Vec<&Value> = reps.iter().map(|r| r.get_field("serve").unwrap()).collect();
+            if replicas == 1 {
+                // Every scheduler field sits at top level and equals the
+                // lone replica's own snapshot.
+                let Value::Object(own) = serves[0] else {
+                    panic!("serve is not an object: {line}");
+                };
+                for (k, want) in own {
+                    assert_eq!(v.get_field(k), Some(want), "top-level `{k}` in {line}");
+                }
+            }
+            // Router counters beside the fleet view; the colliding names
+            // keep the schedulers' meaning at top level.
+            assert!(v.get_field("dispatched").is_some());
+            assert!(v.get_field("affinity_hits").is_some());
+            assert_eq!(num(&v, "tenant_submitted"), 4.0);
+            assert_eq!(num(&v, "tenant_cancelled_queued"), 0.0);
+            let across = |k: &str| serves.iter().map(|s| num(s, k)).sum::<f64>();
+            assert_eq!(num(&v, "submitted"), across("submitted"));
+            assert_eq!(num(&v, "completed"), across("completed"));
+            assert_eq!(num(&v, "cancelled_queued"), across("cancelled_queued"));
+            handle.shutdown();
+        }
+        kernels::set_num_threads(0);
     }
 }

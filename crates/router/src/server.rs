@@ -17,11 +17,10 @@
 //! The optional `bundle` field on `generate`/`mcq` pins the request to a
 //! loaded knowledge-bundle version; unpinned requests run on whatever
 //! version is active at admission (see the scheduler docs). The optional
-//! `tenant` string field tags the request with a tenant id: ignored by
-//! single-scheduler serving, used by the multi-replica router front
-//! (`serve --replicas N`) to key fair-share queues and token-bucket rate
-//! limits. Control ops
-//! reply `{"status":"bundle_loaded","bundle":{...}}`,
+//! `tenant` string field tags the request with a tenant id, which keys the
+//! router's fair-share queues and token-bucket rate limits (untagged
+//! requests share one anonymous tenant). Control ops reply
+//! `{"status":"bundle_loaded","bundle":{...}}`,
 //! `{"status":"promoted","version":1,"gate":{...}}`,
 //! `{"status":"rolled_back","version":0}` and
 //! `{"status":"bundles","bundles":[...]}`; failures (unknown version, NR
@@ -40,78 +39,53 @@
 //! ```
 //!
 //! `cancel` acks with `{"id":N,"status":"cancel_requested"}`; the request
-//! itself still terminates with its own response. `metrics` replies
-//! `{"status":"metrics","metrics":{...}}` (a [`crate::MetricsSnapshot`]).
-//! `shutdown` acks `{"status":"shutting_down"}` and stops the accept loop;
-//! the binary then drains the scheduler.
+//! itself still terminates with its own response. `shutdown` acks
+//! `{"status":"shutting_down"}` and stops the accept loop; the binary then
+//! drains the fleet.
+//!
+//! `metrics` replies `{"status":"metrics","metrics":{...}}`, one object
+//! ([`RouterClient::metrics_value`]) at every fleet size:
+//!
+//! * every [`infuserki_serve::MetricsSnapshot`] field at top level, as the
+//!   fleet view ([`infuserki_serve::MetricsSnapshot::merge`] over the
+//!   replicas; with one replica, that replica's own snapshot). Top-level
+//!   `submitted` counts requests the schedulers accepted and
+//!   `cancelled_queued` those cancelled in a scheduler queue;
+//! * the router's counters: `tenant_submitted` (accepted into a tenant
+//!   queue), `tenant_cancelled_queued` (cancelled while still in one),
+//!   `dispatched`, `affinity_hits`, `balanced`,
+//!   `rejected_tenant_queue_full`, `failed_replica`, `group_rollbacks`,
+//!   `replicas_alive`, `tenant_queued`;
+//! * `replicas[i]` = `{"alive","dispatched","outstanding","serve":{...}}`,
+//!   `serve` being replica `i`'s own snapshot.
+//!
+//! A request line may be at most [`MAX_LINE_BYTES`] long. A peer that
+//! streams past it without a newline gets
+//! `{"status":"error","detail":"line N: longer than ... bytes"}` and the
+//! connection closes, so no peer can grow server memory without bound.
 //!
 //! The front-end adds no protocol state beyond a per-connection id→cancel
-//! map: every submission funnels into the scheduler through the same
-//! in-process [`Client`] the library offers, so wire requests and
-//! in-process requests share one queue, one budget and one batch.
+//! map: every submission funnels through the same [`RouterClient`] the
+//! library offers, so wire requests and in-process requests share one
+//! tenant queue, one dispatcher and the same replicas.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use infuserki_serve::{
+    BundleInfo, CancelToken, ControlError, ControlOp, ControlOutcome, GateReport, GenerateSpec,
+    McqSpec, Outcome, RejectReason, RequestKind, Response, SubmitError, SubmitOpts,
+};
 use serde::Value;
 
-use crate::client::{Client, SubmitOpts};
-use crate::registry::{BundleInfo, ControlError, ControlOp, ControlOutcome, GateReport};
-use crate::request::{
-    CancelToken, GenerateSpec, McqSpec, Outcome, RejectReason, RequestId, RequestKind, Response,
-    SubmitError,
-};
+use crate::router::RouterClient;
 
-/// What the TCP front needs from whatever sits behind it: a single
-/// scheduler's [`Client`], or a multi-replica router. Implementations are
-/// cloned per connection, so they must be cheap shared handles.
-///
-/// The optional `tenant` tag comes from the wire request's `"tenant"`
-/// field. Single-scheduler serving ignores it; the router front keys its
-/// fair-share queues and token buckets on it.
-pub trait Frontend: Clone + Send + 'static {
-    /// Submits one request; the terminal [`Response`] arrives on `tx`.
-    fn submit_request(
-        &self,
-        id: RequestId,
-        kind: RequestKind,
-        opts: SubmitOpts,
-        tenant: Option<&str>,
-        tx: mpsc::Sender<Response>,
-    ) -> Result<CancelToken, SubmitError>;
-
-    /// Executes one knowledge-bundle control op.
-    fn control_op(&self, op: ControlOp) -> Result<ControlOutcome, ControlError>;
-
-    /// Point-in-time metrics as a JSON object string (the `metrics` op's
-    /// payload).
-    fn metrics_json(&self) -> String;
-}
-
-impl Frontend for Client {
-    fn submit_request(
-        &self,
-        id: RequestId,
-        kind: RequestKind,
-        opts: SubmitOpts,
-        _tenant: Option<&str>,
-        tx: mpsc::Sender<Response>,
-    ) -> Result<CancelToken, SubmitError> {
-        self.submit_with_sender(id, kind, opts, tx)
-    }
-
-    fn control_op(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
-        self.control(op)
-    }
-
-    fn metrics_json(&self) -> String {
-        self.metrics().to_json()
-    }
-}
+/// Longest request line accepted, in bytes (newline excluded).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Serializes a `Value` tree as one line (no trailing newline).
 fn json_line(v: &Value) -> String {
@@ -375,8 +349,8 @@ fn send_line(stream: &Arc<Mutex<TcpStream>>, line: &str) -> std::io::Result<()> 
 /// Serves one connection: reads request lines, submits through `client`,
 /// and writes responses as they complete. Returns `true` if the peer asked
 /// the whole server to shut down.
-fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Result<bool> {
-    let reader = BufReader::new(stream.try_clone()?);
+fn handle_connection(stream: TcpStream, client: &RouterClient) -> std::io::Result<bool> {
+    let mut reader = BufReader::new(stream.try_clone()?);
     let writer = Arc::new(Mutex::new(stream));
     // All of this connection's requests respond through one channel; the
     // pump thread turns responses into wire lines in completion order.
@@ -391,16 +365,35 @@ fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Res
     });
     let mut cancels: HashMap<u64, CancelToken> = HashMap::new();
     let mut shutdown_all = false;
-    for (line_no, line) in reader.lines().enumerate() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
+    let mut buf = Vec::new();
+    let mut line_no = 0usize;
+    loop {
+        buf.clear();
+        // One byte past the cap is enough to tell an over-long line apart.
+        match (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        line_no += 1;
+        let ctx = |msg: String| format!("line {line_no}: {msg}");
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_LINE_BYTES {
+            let detail = ctx(format!("longer than {MAX_LINE_BYTES} bytes"));
+            send_line(&writer, &error_line(None, &detail))?;
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            send_line(&writer, &error_line(None, &ctx("not valid UTF-8".into())))?;
+            continue;
         };
         if line.trim().is_empty() {
             continue;
         }
-        let ctx = |msg: String| format!("line {}: {}", line_no + 1, msg);
-        let parsed: Result<Value, _> = serde_json::from_str(&line);
+        let parsed: Result<Value, _> = serde_json::from_str(line);
         let value = match parsed {
             Ok(v) => v,
             Err(e) => {
@@ -440,7 +433,7 @@ fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Res
                     }
                 };
                 let tenant = value.get_field("tenant").and_then(Value::as_str);
-                match client.submit_request(id, kind, opts, tenant, tx.clone()) {
+                match client.submit_with_sender(id, kind, opts, tenant, tx.clone()) {
                     Ok(cancel) => {
                         cancels.insert(id, cancel);
                     }
@@ -467,15 +460,16 @@ fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Res
                 Err(e) => send_line(&writer, &error_line(None, &ctx(e)))?,
             },
             "metrics" => {
-                let snap_value: Value = serde_json::from_str(&client.metrics_json())
-                    .expect("snapshot JSON round-trips");
-                let v = obj(vec![("status", str_v("metrics")), ("metrics", snap_value)]);
+                let v = obj(vec![
+                    ("status", str_v("metrics")),
+                    ("metrics", client.metrics_value()),
+                ]);
                 send_line(&writer, &json_line(&v))?;
             }
             "load_bundle" => {
                 match value.get_field("path").and_then(Value::as_str) {
                     Some(path) => {
-                        let res = client.control_op(ControlOp::LoadBundle { path: path.into() });
+                        let res = client.control(ControlOp::LoadBundle { path: path.into() });
                         send_line(&writer, &control_line(&res))?;
                     }
                     None => send_line(
@@ -486,7 +480,7 @@ fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Res
             }
             "promote" => match field_usize(&value, "version") {
                 Ok(v) if v <= u32::MAX as usize => {
-                    let res = client.control_op(ControlOp::Promote { version: v as u32 });
+                    let res = client.control(ControlOp::Promote { version: v as u32 });
                     send_line(&writer, &control_line(&res))?;
                 }
                 Ok(_) => send_line(
@@ -496,11 +490,11 @@ fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Res
                 Err(e) => send_line(&writer, &error_line(None, &ctx(e)))?,
             },
             "rollback" => {
-                let res = client.control_op(ControlOp::Rollback);
+                let res = client.control(ControlOp::Rollback);
                 send_line(&writer, &control_line(&res))?;
             }
             "list_bundles" => {
-                let res = client.control_op(ControlOp::ListBundles);
+                let res = client.control(ControlOp::ListBundles);
                 send_line(&writer, &control_line(&res))?;
             }
             "shutdown" => {
@@ -528,9 +522,9 @@ fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Res
 /// `stop` is set externally and the listener is woken by a connection).
 /// Connections are handled on their own threads; in-flight connections keep
 /// running after the loop returns and end when their peers disconnect.
-pub fn run<F: Frontend>(
+pub fn run(
     listener: TcpListener,
-    client: F,
+    client: RouterClient,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
     let addr = listener.local_addr()?;
@@ -642,5 +636,72 @@ mod tests {
             reject_reason_slug(&RejectReason::UnknownBundle { version: 3 }),
             "unknown_bundle"
         );
+    }
+
+    /// Reads one reply line and returns its `status` and `detail`.
+    fn reply(reader: &mut BufReader<TcpStream>) -> (String, String) {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply line");
+        let v: Value = serde_json::from_str(line.trim()).expect("reply parses");
+        let field = |k: &str| {
+            v.get_field(k)
+                .and_then(Value::as_str)
+                .unwrap_or("")
+                .to_string()
+        };
+        (field("status"), field("detail"))
+    }
+
+    #[test]
+    fn overlong_line_is_refused_and_the_server_keeps_serving() {
+        let (client, handle) = crate::spawn_router(crate::RouterConfig::default(), |_| {
+            (infuserki_serve::demo_model(), infuserki_nn::NoHook)
+        })
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accept = std::thread::spawn(move || run(listener, client, Arc::default()));
+
+        // Stream past the cap with no newline. The flood runs on its own
+        // thread: the server stops reading once the cap is passed.
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut flood_stream = stream.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            let chunk = vec![b'x'; 64 * 1024];
+            let mut sent = 0;
+            while sent <= MAX_LINE_BYTES + chunk.len() && flood_stream.write_all(&chunk).is_ok() {
+                sent += chunk.len();
+            }
+        });
+        let mut reader = BufReader::new(stream);
+        let (status, detail) = reply(&mut reader);
+        assert_eq!(status, "error");
+        assert!(detail.contains("longer than"), "{detail}");
+        // ...and the connection closes.
+        let mut rest = String::new();
+        assert!(
+            matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+            "{rest}"
+        );
+        flood.join().unwrap();
+
+        // A fresh connection is still served.
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writer
+            .write_all(b"{\"op\":\"generate\",\"id\":1,\"prompt\":[1,2],\"max_new\":3}\n")
+            .unwrap();
+        assert_eq!(reply(&mut reader).0, "ok");
+        writer.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+        assert_eq!(reply(&mut reader).0, "shutting_down");
+        accept.join().unwrap().unwrap();
+        handle.shutdown();
     }
 }

@@ -1,5 +1,6 @@
 //! Loopback test of the knowledge-bundle wire ops: spawn the `serve`
-//! binary with a `--bundle` staged at startup, then drive
+//! binary (one replica, then two) with a `--bundle` staged at startup,
+//! then drive
 //! `list_bundles` / `promote` / `rollback` / pinned requests over the
 //! JSONL protocol, verifying served tokens against the in-process
 //! single-sequence sampler under the correct hook per phase.
@@ -48,8 +49,16 @@ fn nudged_method(b: &TransformerLm) -> InfuserKiMethod {
     m
 }
 
+/// Runs at both fleet sizes: one replica, and two behind prefix-affinity
+/// dispatch.
 #[test]
 fn loopback_bundle_ops_round_trip() {
+    for replicas in ["1", "2"] {
+        bundle_ops_round_trip(replicas);
+    }
+}
+
+fn bundle_ops_round_trip(replicas: &str) {
     // Bake a bundle against the same deterministic demo model the binary
     // will serve.
     let model = demo_model();
@@ -63,7 +72,15 @@ fn loopback_bundle_ops_round_trip() {
         .unwrap();
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(["--demo", "--port", "0", "--threads", "1"])
+        .args([
+            "--demo",
+            "--port",
+            "0",
+            "--threads",
+            "1",
+            "--replicas",
+            replicas,
+        ])
         .arg("--bundle")
         .arg(&bundle_path)
         .stdout(Stdio::piped())

@@ -1,7 +1,7 @@
-//! Loopback smoke test of the `serve` binary: spawn it on an ephemeral
-//! port, round-trip one generate and one MCQ request over the JSONL wire
-//! protocol, verify the generate tokens against the in-process
-//! single-sequence sampler, then shut the server down cleanly.
+//! Loopback smoke test of the `serve` binary: spawn it (one replica, then
+//! two) on an ephemeral port, round-trip one generate and one MCQ request
+//! over the JSONL wire protocol, verify the generate tokens against the
+//! in-process single-sequence sampler, then shut the server down cleanly.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -32,10 +32,26 @@ fn as_usize_vec(v: &Value) -> Vec<usize> {
     }
 }
 
+/// Runs at both fleet sizes: one replica, and two behind prefix-affinity
+/// dispatch.
 #[test]
 fn loopback_generate_and_mcq_round_trip() {
+    for replicas in ["1", "2"] {
+        generate_and_mcq_round_trip(replicas);
+    }
+}
+
+fn generate_and_mcq_round_trip(replicas: &str) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(["--demo", "--port", "0", "--threads", "1"])
+        .args([
+            "--demo",
+            "--port",
+            "0",
+            "--threads",
+            "1",
+            "--replicas",
+            replicas,
+        ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()

@@ -9,8 +9,8 @@ use infuserki_core::{InfuserKiConfig, InfuserKiMethod, KnowledgeBundle};
 use infuserki_nn::{sampler, LayerHook, NoHook, TransformerLm};
 use infuserki_router::{affinity, spawn_router, RouterConfig};
 use infuserki_serve::{
-    demo_model, ControlError, GenerateSpec, Outcome, RejectReason, RequestKind, ServeConfig,
-    SubmitOpts,
+    demo_model, ControlError, ControlOp, ControlOutcome, GenerateSpec, Outcome, RejectReason,
+    RequestKind, ServeConfig, SubmitOpts,
 };
 use infuserki_tensor::kernels;
 
@@ -216,7 +216,12 @@ fn partial_promotion_failure_rolls_the_whole_group_back() {
         .save(&bundle_path)
         .unwrap();
     let (client, handle) = spawn_router(fleet_cfg(3), |_| (demo_model(), NoHook)).unwrap();
-    let info = client.load_bundle(bundle_path.to_str().unwrap()).unwrap();
+    let loaded = client.control(ControlOp::LoadBundle {
+        path: bundle_path.to_str().unwrap().into(),
+    });
+    let Ok(ControlOutcome::Loaded(info)) = loaded else {
+        panic!("bundle stages fleet-wide, got {loaded:?}");
+    };
     assert_eq!(info.version, 1, "staged on every replica as version 1");
 
     // Promote with a fault injected at replica 2: replicas 0 and 1 promote
@@ -247,14 +252,20 @@ fn partial_promotion_failure_rolls_the_whole_group_back() {
             other => panic!("unexpected outcome {other:?}"),
         }
     }
-    let listed = client.list_bundles().unwrap();
+    let Ok(ControlOutcome::Bundles(listed)) = client.control(ControlOp::ListBundles) else {
+        panic!("listing answers with the registry");
+    };
     assert!(
         listed.iter().all(|b| !(b.version == 1 && b.active)),
         "v1 still active somewhere after rollback: {listed:?}"
     );
 
     // Without the fault the same promote lands fleet-wide.
-    client.promote(info.version).unwrap();
+    client
+        .control(ControlOp::Promote {
+            version: info.version,
+        })
+        .unwrap();
     for _ in 0..6 {
         let h = client
             .submit(gen(prompt.clone(), 6), SubmitOpts::default(), None)

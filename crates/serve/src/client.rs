@@ -54,6 +54,12 @@ pub struct ResponseHandle {
 }
 
 impl ResponseHandle {
+    /// Wraps a response channel and its cancellation token — for fronts
+    /// that park requests before any scheduler sees them (the router).
+    pub fn new(id: RequestId, rx: Receiver<Response>, cancel: CancelToken) -> Self {
+        ResponseHandle { id, rx, cancel }
+    }
+
     /// Requests cancellation; the scheduler responds [`Outcome::Cancelled`]
     /// at its next step unless the request already finished.
     pub fn cancel(&self) {
@@ -141,29 +147,16 @@ impl Client {
     ) -> Result<ResponseHandle, SubmitError> {
         let (tx, rx) = mpsc::channel();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let cancel = self.submit_with_sender(id, kind, opts, tx)?;
-        Ok(ResponseHandle { id, rx, cancel })
-    }
-
-    /// Submission for callers that own the response channel (the TCP server
-    /// funnels every request of a connection into one sender). Returns the
-    /// cancellation token. `id` is the caller's, echoed on the response.
-    pub fn submit_with_sender(
-        &self,
-        id: RequestId,
-        kind: RequestKind,
-        opts: SubmitOpts,
-        tx: Sender<Response>,
-    ) -> Result<CancelToken, SubmitError> {
         let cancel = CancelToken::new();
         self.submit_with_parts(id, kind, opts, cancel.clone(), tx)?;
-        Ok(cancel)
+        Ok(ResponseHandle::new(id, rx, cancel))
     }
 
-    /// Fully-assembled submission: the caller owns the id, the response
-    /// channel *and* the cancellation token. The router front needs this
-    /// form — it hands out the token while the request is still waiting in
-    /// a tenant queue, before any scheduler has seen it.
+    /// Fully-assembled submission: the caller owns the id (echoed on the
+    /// response), the response channel *and* the cancellation token. The
+    /// router front needs this form — it hands out the token while the
+    /// request is still waiting in a tenant queue, before any scheduler has
+    /// seen it.
     pub fn submit_with_parts(
         &self,
         id: RequestId,

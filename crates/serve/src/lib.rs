@@ -26,8 +26,10 @@
 //! - [`spawn_scheduler`] — runs the scheduler on its own thread and hands
 //!   back a cloneable in-process [`Client`] (std `mpsc`, blocking and `try`
 //!   waits, cancellation tokens).
-//! - [`server::run`] and the `serve` binary — newline-delimited JSON over
-//!   `std::net::TcpListener` (see README "Serving" for the wire format).
+//!
+//! The JSONL TCP front and the `serve` binary live in `infuserki-router`,
+//! which runs every deployment — one replica or many — through its fleet
+//! client, with [`Client`] as the per-replica handle.
 
 pub mod client;
 pub mod config;
@@ -36,7 +38,6 @@ pub mod queue;
 pub mod registry;
 pub mod request;
 pub mod scheduler;
-pub mod server;
 pub mod watch;
 
 pub use client::{spawn_scheduler, Client, ResponseHandle, SchedulerHandle, SubmitOpts};
@@ -51,8 +52,7 @@ pub use request::{
     Response, SubmitError,
 };
 pub use scheduler::{EngineLimits, Scheduler, StepReport};
-pub use server::Frontend;
-pub use watch::{load_tokenizer, spawn_watcher};
+pub use watch::{load_tokenizer, publish_bundle, spawn_watcher};
 
 use infuserki_nn::{ModelConfig, TransformerLm};
 use rand::SeedableRng;

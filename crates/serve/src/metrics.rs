@@ -304,9 +304,66 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Serializes the snapshot as a single JSON object.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("metrics snapshot serializes")
+    /// Fleet view over several schedulers' snapshots. Counts, gauges and
+    /// peaks sum; `decode_tokens_per_sec` sums (replicas decode side by
+    /// side); latency percentiles take the worst replica; `avg_occupancy`
+    /// is the step-weighted mean; the `bundle_*` fields take the maximum,
+    /// because replica registries move in lockstep and one fleet operation
+    /// must count once. One snapshot merges to itself, field for field.
+    pub fn merge(snaps: &[MetricsSnapshot]) -> MetricsSnapshot {
+        let sum = |f: fn(&MetricsSnapshot) -> u64| snaps.iter().map(f).sum::<u64>();
+        let sum_n = |f: fn(&MetricsSnapshot) -> usize| snaps.iter().map(f).sum::<usize>();
+        let max = |f: fn(&MetricsSnapshot) -> u64| snaps.iter().map(f).max().unwrap_or(0);
+        let worst = |f: fn(&MetricsSnapshot) -> f64| snaps.iter().map(f).fold(0.0, f64::max);
+        let steps = sum(|s| s.steps);
+        MetricsSnapshot {
+            submitted: sum(|s| s.submitted),
+            admitted: sum(|s| s.admitted),
+            completed: sum(|s| s.completed),
+            cancelled: sum(|s| s.cancelled),
+            expired: sum(|s| s.expired),
+            cancelled_queued: sum(|s| s.cancelled_queued),
+            expired_queued: sum(|s| s.expired_queued),
+            rejected_queue_full: sum(|s| s.rejected_queue_full),
+            rejected_budget: sum(|s| s.rejected_budget),
+            rejected_invalid: sum(|s| s.rejected_invalid),
+            rejected_shutdown: sum(|s| s.rejected_shutdown),
+            queue_depth: sum_n(|s| s.queue_depth),
+            active_requests: sum_n(|s| s.active_requests),
+            active_lanes: sum_n(|s| s.active_lanes),
+            reserved_rows: sum_n(|s| s.reserved_rows),
+            kv_rows_used: sum_n(|s| s.kv_rows_used),
+            kv_rows_peak: sum_n(|s| s.kv_rows_peak),
+            steps,
+            idle_steps: sum(|s| s.idle_steps),
+            prefill_tokens: sum(|s| s.prefill_tokens),
+            decode_tokens: sum(|s| s.decode_tokens),
+            prefix_hits: sum(|s| s.prefix_hits),
+            prefix_hit_tokens: sum(|s| s.prefix_hit_tokens),
+            prefix_misses: sum(|s| s.prefix_misses),
+            blocks_live: sum_n(|s| s.blocks_live),
+            blocks_peak: sum_n(|s| s.blocks_peak),
+            blocks_evicted: sum(|s| s.blocks_evicted),
+            // Weights are step shares, so a lone snapshot weighs exactly 1.
+            avg_occupancy: if steps == 0 {
+                0.0
+            } else {
+                snaps
+                    .iter()
+                    .map(|s| s.avg_occupancy * (s.steps as f64 / steps as f64))
+                    .sum()
+            },
+            decode_tokens_per_sec: snaps.iter().map(|s| s.decode_tokens_per_sec).sum(),
+            ttft_p50_ms: worst(|s| s.ttft_p50_ms),
+            ttft_p99_ms: worst(|s| s.ttft_p99_ms),
+            ttft_samples: sum_n(|s| s.ttft_samples),
+            tbt_p50_ms: worst(|s| s.tbt_p50_ms),
+            tbt_p99_ms: worst(|s| s.tbt_p99_ms),
+            bundle_active_version: max(|s| s.bundle_active_version),
+            bundle_swaps: max(|s| s.bundle_swaps),
+            bundle_rollbacks: max(|s| s.bundle_rollbacks),
+            bundle_rejected_promotions: max(|s| s.bundle_rejected_promotions),
+        }
     }
 }
 
@@ -355,7 +412,7 @@ mod tests {
 
     #[test]
     fn snapshot_serializes_to_json_object() {
-        let j = ServeMetrics::new().snapshot().to_json();
+        let j = serde_json::to_string(&ServeMetrics::new().snapshot()).unwrap();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"decode_tokens_per_sec\""));
         assert!(j.contains("\"cancelled_queued\""));
@@ -381,6 +438,33 @@ mod tests {
         assert_eq!(
             snap.get("serve.queue_depth"),
             Some(&obs::MetricValue::Gauge(2))
+        );
+    }
+
+    #[test]
+    fn merge_is_identity_on_one_and_a_fleet_view_on_many() {
+        let a = ServeMetrics::new();
+        a.completed.add(3);
+        a.steps.add(3);
+        a.occupancy_lane_steps.add(7);
+        a.ttft_ms.record(2.0);
+        a.bundle_swaps.add(1);
+        let b = ServeMetrics::new();
+        b.completed.add(5);
+        b.steps.add(1);
+        b.occupancy_lane_steps.add(1);
+        b.ttft_ms.record(40.0);
+        b.bundle_swaps.add(1);
+        let (a, b) = (a.snapshot(), b.snapshot());
+        assert_eq!(MetricsSnapshot::merge(std::slice::from_ref(&a)), a);
+        let m = MetricsSnapshot::merge(&[a.clone(), b.clone()]);
+        assert_eq!(m.completed, 8);
+        assert_eq!(m.ttft_samples, 2);
+        assert_eq!(m.ttft_p50_ms, b.ttft_p50_ms, "percentiles take the worst");
+        assert_eq!(m.bundle_swaps, 1, "one fleet promote counts once");
+        assert!(
+            (m.avg_occupancy - 2.0).abs() < 1e-12,
+            "(7 + 1) lanes / 4 steps"
         );
     }
 

@@ -4,11 +4,12 @@
 //! Two pieces close the loop between a WAL directory and the serving
 //! registry:
 //!
-//! * [`Client`] implements [`infuserki_ingest::BundlePublisher`], so the
-//!   pipeline's finished bundles go through the real control plane:
-//!   `load_bundle` (verify + stage) then `promote` (NR regression gate). A
-//!   gate refusal maps to [`PublishError::GateRefused`] — the pipeline
-//!   drops the regressing batch and the previous version keeps serving.
+//! * [`publish_bundle`] sends the pipeline's finished bundles through the
+//!   real control plane: `load_bundle` (verify + stage) then `promote` (NR
+//!   regression gate). A gate refusal maps to [`PublishError::GateRefused`]
+//!   — the pipeline drops the regressing batch and the previous version
+//!   keeps serving. [`Client`] and the router's fleet client both implement
+//!   [`infuserki_ingest::BundlePublisher`] by delegating to it.
 //! * [`spawn_watcher`] drives [`UpdatePipeline::run_once`] on a background
 //!   thread at the configured poll cadence until a stop flag is set, so the
 //!   `serve` binary can ingest and serve from one process. Requests are
@@ -27,30 +28,45 @@ use infuserki_ingest::{
 use infuserki_text::Tokenizer;
 
 use crate::client::Client;
-use crate::registry::ControlError;
+use crate::registry::{ControlError, ControlOp, ControlOutcome};
+
+/// load → stage → promote through any control plane: one scheduler's
+/// [`Client`] or a router fleet. The promote-time NR gate is the safety
+/// valve: a refusal comes back as [`PublishError::GateRefused`] so the
+/// pipeline drops the batch instead of erroring out.
+pub fn publish_bundle(
+    path: &Path,
+    control: impl Fn(ControlOp) -> Result<ControlOutcome, ControlError>,
+) -> Result<PublishReport, PublishError> {
+    let path_str = path
+        .to_str()
+        .ok_or_else(|| PublishError::Other(format!("non-utf8 bundle path {}", path.display())))?;
+    let loaded = control(ControlOp::LoadBundle {
+        path: path_str.into(),
+    })
+    .map_err(|e| PublishError::Other(e.to_string()))?;
+    let ControlOutcome::Loaded(info) = loaded else {
+        unreachable!("load returned {loaded:?}");
+    };
+    match control(ControlOp::Promote {
+        version: info.version,
+    }) {
+        Ok(_) => Ok(PublishReport {
+            version: info.version,
+        }),
+        Err(ControlError::NrGateFailed { gate, .. }) => Err(PublishError::GateRefused {
+            probes: gate.probes as u32,
+            staged_correct: gate.staged_correct as u32,
+            active_correct: gate.active_correct as u32,
+        }),
+        Err(e) => Err(PublishError::Other(e.to_string())),
+    }
+}
 
 impl BundlePublisher for Client {
-    /// load → stage → promote through the scheduler thread. The promote-time
-    /// NR gate is the safety valve: a refusal comes back typed so the
-    /// pipeline can drop the batch instead of erroring out.
+    /// [`publish_bundle`] through the scheduler thread.
     fn publish(&self, path: &Path) -> Result<PublishReport, PublishError> {
-        let path_str = path.to_str().ok_or_else(|| {
-            PublishError::Other(format!("non-utf8 bundle path {}", path.display()))
-        })?;
-        let info = self
-            .load_bundle(path_str)
-            .map_err(|e| PublishError::Other(e.to_string()))?;
-        match self.promote(info.version) {
-            Ok(_) => Ok(PublishReport {
-                version: info.version,
-            }),
-            Err(ControlError::NrGateFailed { gate, .. }) => Err(PublishError::GateRefused {
-                probes: gate.probes as u32,
-                staged_correct: gate.staged_correct as u32,
-                active_correct: gate.active_correct as u32,
-            }),
-            Err(e) => Err(PublishError::Other(e.to_string())),
-        }
+        publish_bundle(path, |op| self.control(op))
     }
 }
 

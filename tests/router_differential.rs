@@ -16,8 +16,10 @@
 use std::sync::Mutex;
 
 use infuserki::nn::{sampler, ModelConfig, NoHook, TransformerLm};
-use infuserki::router::{spawn_router, PendingResponse, RouterConfig};
-use infuserki::serve::{GenerateSpec, McqSpec, Outcome, RequestKind, ServeConfig, SubmitOpts};
+use infuserki::router::{spawn_router, RouterConfig};
+use infuserki::serve::{
+    GenerateSpec, McqSpec, Outcome, RequestKind, ResponseHandle, ServeConfig, SubmitOpts,
+};
 use infuserki::tensor::kernels;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -135,7 +137,7 @@ fn run_through_router(
     rng: &mut ChaCha8Rng,
     kinds: &[RequestKind],
 ) -> Vec<Outcome> {
-    let handles: Vec<PendingResponse> = kinds
+    let handles: Vec<ResponseHandle> = kinds
         .iter()
         .map(|k| {
             let tenant = TENANTS[rng.gen_range(0..TENANTS.len())];

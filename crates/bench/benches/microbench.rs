@@ -141,7 +141,7 @@ fn bench_adapter_overhead(c: &mut Criterion) {
 }
 
 /// Incremental engine vs full recompute: 64-token greedy generation from a
-/// 16-token prompt through the KV-cached path (`prefill` + `decode_step`)
+/// 16-token prompt through the KV-cached path (`prefill_batch` + `decode_step_batch`)
 /// and the pre-cache reference path (full forward per emitted token). The
 /// acceptance target is a ≥3× cached speedup on this workload.
 fn bench_generation_cached_vs_uncached(c: &mut Criterion) {
@@ -171,13 +171,13 @@ fn bench_prefill_and_decode_step(c: &mut Criterion) {
     let model = small_model();
     let tokens: Vec<usize> = (0..40).map(|i| i % 512).collect();
     c.bench_function("prefill_seq40", |bench| {
-        bench.iter(|| model.prefill(std::hint::black_box(&tokens), &NoHook))
+        bench.iter(|| model.prefill_batch(&[std::hint::black_box(&tokens)], &NoHook))
     });
-    let (cache, _) = model.prefill(&tokens, &NoHook);
+    let (cache, _) = model.prefill_batch(&[&tokens], &NoHook);
     c.bench_function("decode_step_after_seq40", |bench| {
         bench.iter_batched(
             || cache.fork(),
-            |mut cache| model.decode_step(7, &NoHook, &mut cache),
+            |mut cache| model.decode_step_batch(&[7], &NoHook, &mut cache),
             BatchSize::SmallInput,
         )
     });
@@ -290,7 +290,7 @@ fn bench_batched_mcq_scoring(c: &mut Criterion) {
                             let p = std::hint::black_box(p);
                             let mut seq = p.clone();
                             seq.extend_from_slice(&opt[..opt.len() - 1]);
-                            let (_cache, logits) = model.prefill(&seq, &NoHook);
+                            let (_cache, logits) = model.prefill_batch(&[&seq], &NoHook);
                             let lp = kernels::log_softmax_rows(
                                 &logits.slice_rows(p.len() - 1, seq.len()),
                             );
@@ -347,7 +347,10 @@ fn bench_mcq_answering(c: &mut Criterion) {
         bench.iter(|| {
             mcqs[..8]
                 .iter()
-                .map(|m| infuserki_core::answer_mcq(&model, &NoHook, &tok, std::hint::black_box(m)))
+                .map(|m| {
+                    let one = std::slice::from_ref(std::hint::black_box(m));
+                    infuserki_core::answer_mcq_batch(&model, &NoHook, &tok, one)
+                })
                 .collect::<Vec<_>>()
         })
     });

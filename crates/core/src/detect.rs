@@ -37,39 +37,14 @@ pub fn option_token_ids(tokenizer: &Tokenizer) -> [usize; 4] {
     ids
 }
 
-/// Answers one MCQ by greedy generation (EOS-stopped), extracting the chosen
-/// option by answer-text match with option-letter fallback (see
-/// [`infuserki_text::prompts::extract_choice`]); unparseable generations
-/// return `None` and count as incorrect, matching the paper's protocol.
-pub fn answer_mcq(
-    model: &TransformerLm,
-    hook: &dyn LayerHook,
-    tokenizer: &Tokenizer,
-    mcq: &Mcq,
-) -> Option<usize> {
-    let prompt = tokenizer.encode_strict(&format_mcq_prompt(mcq));
-    let max_new = mcq
-        .options
-        .iter()
-        .map(|o| tokenizer.encode(o).len())
-        .max()
-        .unwrap_or(4)
-        + 2;
-    let generated = sampler::greedy_decode(
-        model,
-        hook,
-        &prompt,
-        max_new,
-        Some(infuserki_text::tokenizer::EOS),
-    );
-    let text = tokenizer.decode(&generated);
-    infuserki_text::prompts::extract_choice(&text, &mcq.options)
-}
-
-/// Answers a set of MCQs with one batched greedy decode: all prompts prefill
-/// as a ragged batch and every question advances one token per decode step.
-/// Per question identical to [`answer_mcq`] (bitwise logits at one kernel
-/// thread); per-question `max_new` budgets carry through as decode limits.
+/// Answers a set of MCQs with one batched greedy decode (EOS-stopped): all
+/// prompts prefill as a ragged batch and every question advances one token
+/// per decode step. The chosen option is extracted by answer-text match with
+/// option-letter fallback (see [`infuserki_text::prompts::extract_choice`]);
+/// unparseable generations return `None` and count as incorrect, matching
+/// the paper's protocol. Per question identical to answering it alone
+/// (bitwise logits at one kernel thread); per-question `max_new` budgets
+/// carry through as decode limits.
 pub fn answer_mcq_batch(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -106,16 +81,6 @@ pub fn answer_mcq_batch(
             infuserki_text::prompts::extract_choice(&text, &m.options)
         })
         .collect()
-}
-
-/// True when the model answers `mcq` correctly.
-pub fn answers_correctly(
-    model: &TransformerLm,
-    hook: &dyn LayerHook,
-    tokenizer: &Tokenizer,
-    mcq: &Mcq,
-) -> bool {
-    answer_mcq(model, hook, tokenizer, mcq) == Some(mcq.correct)
 }
 
 /// Decode-batch width for MCQ probing: chunks of this many questions run as

@@ -27,7 +27,7 @@ pub mod trainer;
 pub use bundle::{base_model_digest, EvalStamp, GateProbe, KnowledgeBundle, BUNDLE_FORMAT};
 pub use config::{Ablation, GateInput, InfuserKiConfig, Placement, Site, TrainConfig};
 pub use dataset::{InfuserSample, KiDataset, McqBank, RcSample};
-pub use detect::{answer_mcq, answer_mcq_batch, detect_unknown, DetectionResult};
+pub use detect::{answer_mcq_batch, detect_unknown, DetectionResult};
 pub use incremental::{integrate_more, IncrementalReport};
 pub use method::InfuserKiMethod;
 pub use trainer::{train_infuserki, TrainingReport};

@@ -153,59 +153,16 @@ impl InfuserKiMethod {
         }
     }
 
-    /// Tape-free counterpart of [`Self::adapt`] for the KV-cached incremental
-    /// engine. Bitwise-identical row for row to the tape path under any
-    /// chunking: the adapter carry is row-local (it crosses *layers*, not
-    /// tokens), and the cumulative gate statistics in `state` continue the
-    /// prefix means across chunks exactly.
-    fn adapt_incremental(
-        &self,
-        layer: usize,
-        sub_in: &Matrix,
-        sub_out: Matrix,
-        state: &mut InfuserInferState,
-    ) -> Matrix {
-        let offset = self.cfg.placement.offset(layer);
-        // Eq. 1.
-        let h_tilde = match &state.carry {
-            Some(carry) => {
-                let mut h = carry.clone();
-                h.add_assign(sub_in);
-                h
-            }
-            None => sub_in.clone(),
-        };
-        // Eq. 2.
-        let h_a = self.adapters[offset].apply(&h_tilde);
-        state.carry = Some(h_a.clone());
-        if self.cfg.ablation.use_infuser {
-            // Eq. 4 (causal form — see `adapt`).
-            let gate_src = match self.cfg.gate_input {
-                GateInput::SublayerIn => sub_in,
-                GateInput::SublayerOut => &sub_out,
-            };
-            let (sums, count) = &mut state.gates[offset];
-            let pooled = infer::cumulative_mean_rows_continue(sums, count, gate_src);
-            let logits = self.infusers[offset].apply(&pooled);
-            let r = logits.map(kernels::sigmoid);
-            // Eq. 6.
-            let mut out = infer::mul_col_broadcast(&h_a, &r);
-            out.add_assign(&sub_out);
-            out
-        } else {
-            // Eq. 3 (w/o-Ro ablation).
-            let mut out = h_a;
-            out.add_assign(&sub_out);
-            out
-        }
-    }
-
-    /// Batched counterpart of [`Self::adapt_incremental`] over packed chunks.
-    /// The carry add, adapter forward, infuser MLP, sigmoid and gating are all
-    /// row-local, so they run once over the packed matrix; only the per-state
-    /// bookkeeping (carry slices, cumulative gate sums) dispatches per
-    /// sequence. Per row bitwise-equal (at one kernel thread) to adapting each
-    /// sequence alone — no state leaks across batch members.
+    /// Tape-free counterpart of [`Self::adapt`] for the KV-cached engine,
+    /// over a packed ragged batch of chunks (a single sequence is a batch of
+    /// one). The carry add, adapter forward, infuser MLP, sigmoid and gating
+    /// are all row-local, so they run once over the packed matrix; only the
+    /// per-state bookkeeping (carry slices, cumulative gate sums) dispatches
+    /// per sequence. Bitwise-identical row for row (at one kernel thread) to
+    /// the tape path under any chunking and batching: the adapter carry
+    /// crosses *layers*, not tokens, and the cumulative gate statistics in
+    /// each state continue that sequence's prefix means across chunks, so no
+    /// state leaks across batch members.
     fn adapt_incremental_batch(
         &self,
         layer: usize,
@@ -214,13 +171,10 @@ impl InfuserKiMethod {
         batch: &SeqBatch,
         states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
-        if batch.n_seqs() == 1 {
-            return self.adapt_incremental(layer, sub_in, sub_out, downcast_state(&mut states[0]));
-        }
         let offset = self.cfg.placement.offset(layer);
         let mut sts: Vec<&mut InfuserInferState> = states.iter_mut().map(downcast_state).collect();
         // Eq. 1, packed: each sequence's carry adds into its own row block
-        // (f32 addition commutes, so `sub_in + carry` matches the single
+        // (f32 addition commutes, so `sub_in + carry` matches the tape
         // path's `carry + sub_in` bit for bit).
         let mut h_tilde = sub_in.clone();
         for (i, rng) in batch.ranges().enumerate() {
@@ -425,27 +379,6 @@ impl LayerHook for InfuserKiMethod {
         self.hook().prefix_cache_safe()
     }
 
-    fn infer_ffn_output(
-        &self,
-        layer: usize,
-        ffn_in: &Matrix,
-        ffn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        self.hook().infer_ffn_output(layer, ffn_in, ffn_out, state)
-    }
-
-    fn infer_attn_output(
-        &self,
-        layer: usize,
-        attn_in: &Matrix,
-        attn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        self.hook()
-            .infer_attn_output(layer, attn_in, attn_out, state)
-    }
-
     fn infer_ffn_output_batch(
         &self,
         layer: usize,
@@ -521,36 +454,6 @@ impl LayerHook for InfuserKiHook<'_> {
     // adopted by any request sharing that prefix.
     fn prefix_cache_safe(&self) -> bool {
         true
-    }
-
-    fn infer_ffn_output(
-        &self,
-        layer: usize,
-        ffn_in: &Matrix,
-        ffn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        let p = &self.method.cfg.placement;
-        if p.site != Site::Ffn || !p.contains(layer) {
-            return ffn_out;
-        }
-        let st = downcast_state(state);
-        self.method.adapt_incremental(layer, ffn_in, ffn_out, st)
-    }
-
-    fn infer_attn_output(
-        &self,
-        layer: usize,
-        attn_in: &Matrix,
-        attn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        let p = &self.method.cfg.placement;
-        if p.site != Site::Attention || !p.contains(layer) {
-            return attn_out;
-        }
-        let st = downcast_state(state);
-        self.method.adapt_incremental(layer, attn_in, attn_out, st)
     }
 
     fn infer_ffn_output_batch(

@@ -70,8 +70,8 @@ fn int8_base_matches_f32_base_end_to_end() {
     let mut max_logit_diff = 0.0f32;
     for mcq in mcqs.iter().take(8) {
         let prompt = tokenizer.encode_strict(&format_mcq_prompt(mcq));
-        let (_, lf) = f32_model.prefill(&prompt, &NoHook);
-        let (_, lq) = q_model.prefill(&prompt, &NoHook);
+        let (_, lf) = f32_model.prefill_batch(&[&prompt], &NoHook);
+        let (_, lq) = q_model.prefill_batch(&[&prompt], &NoHook);
         assert_eq!(lf.shape(), lq.shape());
         let last = lf.rows() - 1;
         for (a, b) in lf.row(last).iter().zip(lq.row(last)) {
@@ -91,8 +91,8 @@ fn int8_base_matches_f32_base_end_to_end() {
         let prompt = tokenizer.encode_strict(&format_mcq_prompt(mcq));
         let stream = greedy_decode(f32_model, &NoHook, &prompt, 8, Some(EOS));
         let forced: Vec<usize> = prompt.iter().chain(stream.iter()).copied().collect();
-        let (_, lf) = f32_model.prefill(&forced, &NoHook);
-        let (_, lq) = q_model.prefill(&forced, &NoHook);
+        let (_, lf) = f32_model.prefill_batch(&[&forced], &NoHook);
+        let (_, lq) = q_model.prefill_batch(&[&forced], &NoHook);
         for r in (prompt.len() - 1)..lf.rows() {
             // Positions that produced the generated tokens.
             let (rowf, rowq) = (lf.row(r), lq.row(r));

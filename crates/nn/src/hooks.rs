@@ -95,14 +95,15 @@ impl Clone for Box<dyn HookState> {
 /// (InfuserKI) or opt out of incremental decoding entirely
 /// ([`LayerHook::supports_incremental`], GRACE).
 ///
-/// The `infer_*_batch` family extends the sublayer-output hooks to ragged
-/// batches: the input/output matrices pack all sequences row-wise per
-/// [`SeqBatch`], and `states` holds one entry per sequence. The defaults
-/// slice per sequence and delegate to the single-sequence methods — correct
-/// (and bitwise-equal to the looped single path) for *any* hook; stateful
-/// hooks may override with a packed implementation (InfuserKI does, fusing
-/// its adapter/infuser matmuls across the batch while keeping carry and gate
-/// statistics strictly per-sequence).
+/// The sublayer-output hooks have one tape-free entry each,
+/// [`LayerHook::infer_attn_output_batch`] and
+/// [`LayerHook::infer_ffn_output_batch`], and a single sequence is a batch
+/// of one. Their input/output matrices pack all sequences row-wise per
+/// [`SeqBatch`], and `states` holds one entry per sequence. The defaults run
+/// the tape hook on a scratch tape per sequence range, which is correct for
+/// *any* stateless hook; stateful hooks override with a packed
+/// implementation (InfuserKI does, fusing its adapter/infuser matmuls across
+/// the batch while keeping carry and gate statistics strictly per-sequence).
 ///
 /// Batched contract for the *projection* hooks (`infer_attn_q_delta`,
 /// `infer_attn_v_delta`): the batched attention path applies them to the
@@ -208,42 +209,10 @@ pub trait LayerHook: Sync {
         Some((tape.value(k).clone(), tape.value(v).clone()))
     }
 
-    /// Tape-free counterpart of [`LayerHook::attn_output`]. `state` is the
-    /// cache's hook state (if [`LayerHook::make_state`] provided one).
-    fn infer_attn_output(
-        &self,
-        layer: usize,
-        attn_in: &Matrix,
-        attn_out: Matrix,
-        _state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        let mut tape = Tape::new();
-        let mut trace = ForwardTrace::new();
-        let i = tape.leaf(attn_in.clone());
-        let o = tape.leaf(attn_out);
-        let r = self.attn_output(layer, i, o, &mut tape, &mut trace);
-        tape.value(r).clone()
-    }
-
-    /// Tape-free counterpart of [`LayerHook::ffn_output`]. `state` is the
-    /// cache's hook state (if [`LayerHook::make_state`] provided one).
-    fn infer_ffn_output(
-        &self,
-        layer: usize,
-        ffn_in: &Matrix,
-        ffn_out: Matrix,
-        _state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        let mut tape = Tape::new();
-        let mut trace = ForwardTrace::new();
-        let i = tape.leaf(ffn_in.clone());
-        let o = tape.leaf(ffn_out);
-        let r = self.ffn_output(layer, i, o, &mut tape, &mut trace);
-        tape.value(r).clone()
-    }
-
-    /// Batched counterpart of [`LayerHook::infer_attn_output`] over a packed
-    /// ragged batch. Default: slice per sequence and delegate.
+    /// Tape-free counterpart of [`LayerHook::attn_output`] over a packed
+    /// ragged batch. `states` holds the cache's per-sequence hook state (if
+    /// [`LayerHook::make_state`] provided one). Default: run the tape hook on
+    /// a scratch tape, one sequence range at a time.
     fn infer_attn_output_batch(
         &self,
         layer: usize,
@@ -253,21 +222,13 @@ pub trait LayerHook: Sync {
         states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
         debug_assert_eq!(batch.n_seqs(), states.len());
-        if batch.n_seqs() == 1 {
-            return self.infer_attn_output(layer, attn_in, attn_out, &mut states[0]);
-        }
-        let mut out = attn_out;
-        for (i, r) in batch.ranges().enumerate() {
-            let sub_in = attn_in.slice_rows(r.start, r.end);
-            let sub_out = out.slice_rows(r.start, r.end);
-            let res = self.infer_attn_output(layer, &sub_in, sub_out, &mut states[i]);
-            out.copy_rows_from(r.start, &res);
-        }
-        out
+        emulate_per_seq(attn_in, attn_out, batch, |i, o, tape, trace| {
+            self.attn_output(layer, i, o, tape, trace)
+        })
     }
 
-    /// Batched counterpart of [`LayerHook::infer_ffn_output`] over a packed
-    /// ragged batch. Default: slice per sequence and delegate.
+    /// Tape-free counterpart of [`LayerHook::ffn_output`] over a packed
+    /// ragged batch; `states` as in [`LayerHook::infer_attn_output_batch`].
     fn infer_ffn_output_batch(
         &self,
         layer: usize,
@@ -277,18 +238,33 @@ pub trait LayerHook: Sync {
         states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
         debug_assert_eq!(batch.n_seqs(), states.len());
-        if batch.n_seqs() == 1 {
-            return self.infer_ffn_output(layer, ffn_in, ffn_out, &mut states[0]);
-        }
-        let mut out = ffn_out;
-        for (i, r) in batch.ranges().enumerate() {
-            let sub_in = ffn_in.slice_rows(r.start, r.end);
-            let sub_out = out.slice_rows(r.start, r.end);
-            let res = self.infer_ffn_output(layer, &sub_in, sub_out, &mut states[i]);
-            out.copy_rows_from(r.start, &res);
-        }
-        out
+        emulate_per_seq(ffn_in, ffn_out, batch, |i, o, tape, trace| {
+            self.ffn_output(layer, i, o, tape, trace)
+        })
     }
+}
+
+/// Runs a tape sublayer hook on a scratch tape once per sequence range of a
+/// packed batch: the default tape-free emulation. Each sequence gets its own
+/// tape and trace, so per-forward hook state never crosses batch members;
+/// a tape leaf's value is its input unchanged, so for a stateless hook every
+/// row matches the tape path bit for bit.
+fn emulate_per_seq(
+    sub_in: &Matrix,
+    sub_out: Matrix,
+    batch: &SeqBatch,
+    hook: impl Fn(NodeId, NodeId, &mut Tape, &mut ForwardTrace) -> NodeId,
+) -> Matrix {
+    let mut out = sub_out;
+    for r in batch.ranges() {
+        let mut tape = Tape::new();
+        let mut trace = ForwardTrace::new();
+        let i = tape.leaf(sub_in.slice_rows(r.start, r.end));
+        let o = tape.leaf(out.slice_rows(r.start, r.end));
+        let res = hook(i, o, &mut tape, &mut trace);
+        out.copy_rows_from(r.start, tape.value(res));
+    }
+    out
 }
 
 /// References forward every method to the referent. This must cover the
@@ -357,26 +333,6 @@ impl<H: LayerHook + ?Sized> LayerHook for &H {
         (**self).infer_prefix_kv(layer)
     }
 
-    fn infer_attn_output(
-        &self,
-        layer: usize,
-        attn_in: &Matrix,
-        attn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        (**self).infer_attn_output(layer, attn_in, attn_out, state)
-    }
-
-    fn infer_ffn_output(
-        &self,
-        layer: usize,
-        ffn_in: &Matrix,
-        ffn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        (**self).infer_ffn_output(layer, ffn_in, ffn_out, state)
-    }
-
     fn infer_attn_output_batch(
         &self,
         layer: usize,
@@ -406,24 +362,26 @@ pub struct NoHook;
 
 impl LayerHook for NoHook {
     // Identity fast paths: bit-identical to the scratch-tape defaults (a
-    // tape leaf's value is the input matrix unchanged) but skip three
-    // matrix clones per sublayer — the vanilla model's decode hot path.
-    fn infer_attn_output(
+    // tape leaf's value is the input matrix unchanged) but skip the per-
+    // sequence copies and tapes — the vanilla model's decode hot path.
+    fn infer_attn_output_batch(
         &self,
         _layer: usize,
         _attn_in: &Matrix,
         attn_out: Matrix,
-        _state: &mut Option<Box<dyn HookState>>,
+        _batch: &SeqBatch,
+        _states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
         attn_out
     }
 
-    fn infer_ffn_output(
+    fn infer_ffn_output_batch(
         &self,
         _layer: usize,
         _ffn_in: &Matrix,
         ffn_out: Matrix,
-        _state: &mut Option<Box<dyn HookState>>,
+        _batch: &SeqBatch,
+        _states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
         ffn_out
     }

@@ -137,21 +137,13 @@ impl TransformerLm {
         self.forward_traced(tokens, hook, tape, &mut trace)
     }
 
-    /// Builds an empty KV cache for incremental decoding with `hook`.
+    /// Builds an empty KV cache for incremental decoding with `hook`, over
+    /// `n_seqs` independent sequences (one for a single prompt).
     ///
     /// # Panics
     /// Panics if the hook does not support incremental decoding
     /// ([`LayerHook::supports_incremental`]); callers that may receive such
     /// hooks should check first and fall back to full recomputation.
-    pub fn new_cache(&self, hook: &dyn LayerHook) -> KvCache {
-        self.new_cache_batch(hook, 1)
-    }
-
-    /// Builds an empty KV cache over `n_seqs` independent sequences.
-    ///
-    /// # Panics
-    /// Panics if the hook does not support incremental decoding (see
-    /// [`Self::new_cache`]).
     pub fn new_cache_batch(&self, hook: &dyn LayerHook, n_seqs: usize) -> KvCache {
         self.new_cache_batch_in(hook, n_seqs, self.new_pool(DEFAULT_BLOCK_ROWS))
     }
@@ -169,12 +161,7 @@ impl TransformerLm {
     ///
     /// # Panics
     /// Panics if the hook does not support incremental decoding (see
-    /// [`Self::new_cache`]).
-    pub fn new_cache_in(&self, hook: &dyn LayerHook, pool: PoolHandle) -> KvCache {
-        self.new_cache_batch_in(hook, 1, pool)
-    }
-
-    /// Batched form of [`Self::new_cache_in`].
+    /// [`Self::new_cache_batch`]).
     pub fn new_cache_batch_in(
         &self,
         hook: &dyn LayerHook,
@@ -199,27 +186,14 @@ impl TransformerLm {
             .unwrap_or(0)
     }
 
-    /// Runs a chunk of `tokens` through the model incrementally, appending
-    /// their K/V rows to `cache`. Returns the `[chunk, vocab]` logits of the
-    /// new positions — bitwise identical (at one kernel thread) to the
-    /// corresponding rows of a full [`Self::forward`] over the whole cached
-    /// sequence. Batch-of-1 wrapper over [`Self::extend_cached_batch`].
-    pub fn extend_cached(
-        &self,
-        tokens: &[usize],
-        hook: &dyn LayerHook,
-        cache: &mut KvCache,
-    ) -> Matrix {
-        assert_eq!(cache.n_seqs(), 1, "extend_cached on a batched cache");
-        self.extend_cached_batch(&[tokens], hook, cache)
-    }
-
-    /// Advances every sequence of a batched cache by its own chunk
-    /// (`chunks[i]` extends sequence `i`; chunks may have different lengths
-    /// but must all be non-empty). Returns the packed
+    /// Advances every sequence of a cache by its own chunk, appending the
+    /// chunks' K/V rows (`chunks[i]` extends sequence `i`; chunks may have
+    /// different lengths but must all be non-empty). Returns the packed
     /// `[sum(chunk lens), vocab]` logits of the new positions, laid out per
-    /// `SeqBatch::from_lens(chunk lens)` — each sequence's rows bitwise
-    /// identical (at one kernel thread) to extending it alone.
+    /// `SeqBatch::from_lens(chunk lens)`. Each sequence's rows are bitwise
+    /// identical (at one kernel thread) to the corresponding rows of a full
+    /// [`Self::forward`] over that whole cached sequence, whatever else
+    /// shares the batch.
     pub fn extend_cached_batch<S: AsRef<[usize]>>(
         &self,
         chunks: &[S],
@@ -235,7 +209,7 @@ impl TransformerLm {
         );
         assert!(
             chunks.iter().all(|c| !c.as_ref().is_empty()),
-            "extend_cached: empty chunk"
+            "extend_cached_batch: empty chunk"
         );
         let lens: Vec<usize> = chunks.iter().map(|c| c.as_ref().len()).collect();
         // One token per sequence = a decode step; anything longer is prefill.
@@ -256,7 +230,7 @@ impl TransformerLm {
             let start = cache.tokens_of(i);
             assert!(
                 start + chunk.len() <= self.cfg.max_seq,
-                "extend_cached: sequence {} exceeds max_seq {}",
+                "extend_cached_batch: sequence {} exceeds max_seq {}",
                 start + chunk.len(),
                 self.cfg.max_seq
             );
@@ -315,14 +289,6 @@ impl TransformerLm {
         logits
     }
 
-    /// Prefills a fresh cache with `tokens` and returns it together with the
-    /// prompt logits.
-    pub fn prefill(&self, tokens: &[usize], hook: &dyn LayerHook) -> (KvCache, Matrix) {
-        let mut cache = self.new_cache(hook);
-        let logits = self.extend_cached(tokens, hook, &mut cache);
-        (cache, logits)
-    }
-
     /// Prefills a fresh batched cache with one prompt per sequence,
     /// returning it with the packed prompt logits (layout per
     /// `SeqBatch::from_lens(prompt lens)`).
@@ -336,12 +302,6 @@ impl TransformerLm {
         (cache, logits)
     }
 
-    /// Decodes one token against the cache, returning its `[1, vocab]`
-    /// logits row.
-    pub fn decode_step(&self, token: usize, hook: &dyn LayerHook, cache: &mut KvCache) -> Matrix {
-        self.extend_cached(&[token], hook, cache)
-    }
-
     /// Decodes one token per sequence against a batched cache, returning the
     /// `[n_seqs, vocab]` logits (row `i` for sequence `i`).
     pub fn decode_step_batch(
@@ -352,19 +312,6 @@ impl TransformerLm {
     ) -> Matrix {
         let chunks: Vec<&[usize]> = tokens.iter().map(std::slice::from_ref).collect();
         self.extend_cached_batch(&chunks, hook, cache)
-    }
-
-    /// Tape-free full forward over several sequences at once: prefills a
-    /// throwaway batched cache and returns the packed logits. The batched
-    /// counterpart of evaluating [`Self::forward`] per sequence.
-    pub fn forward_batch<S: AsRef<[usize]>>(
-        &self,
-        seqs: &[S],
-        hook: &dyn LayerHook,
-    ) -> (Matrix, SeqBatch) {
-        let lens: Vec<usize> = seqs.iter().map(|s| s.as_ref().len()).collect();
-        let (_, logits) = self.prefill_batch(seqs, hook);
-        (logits, SeqBatch::from_lens(&lens))
     }
 
     /// Next-token cross-entropy over a sequence: position `i` predicts
@@ -405,6 +352,7 @@ impl TransformerLm {
         completion: &[usize],
         hook: &dyn LayerHook,
     ) -> f32 {
+        assert!(!prompt.is_empty(), "completion_logprob: empty prompt");
         assert!(
             !completion.is_empty(),
             "completion_logprob: empty completion"
@@ -523,6 +471,7 @@ impl Module for TransformerLm {
 /// `prompt ++ completion[..-1]` and must predict each completion token;
 /// prompt positions are masked with [`IGNORE_INDEX`].
 pub fn completion_sample(prompt: &[usize], completion: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    assert!(!prompt.is_empty(), "completion_sample: empty prompt");
     assert!(
         !completion.is_empty(),
         "completion_sample: empty completion"
@@ -644,12 +593,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_packs_per_sequence_logits() {
+    fn prefill_batch_packs_per_sequence_logits() {
         let m = model();
-        let (logits, batch) = m.forward_batch(&[vec![1, 2, 3], vec![4, 5]], &NoHook);
-        assert_eq!(batch.n_seqs(), 2);
+        let (cache, logits) = m.prefill_batch(&[vec![1, 2, 3], vec![4, 5]], &NoHook);
+        assert_eq!(cache.n_seqs(), 2);
         assert_eq!(logits.shape(), (5, 40));
-        assert_eq!(batch.range(1), 3..5);
+        assert_eq!(cache.tokens_of(1), 2);
     }
 
     #[test]

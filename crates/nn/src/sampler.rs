@@ -8,9 +8,15 @@
 //!
 //! Both run batch-first: [`greedy_decode_batch`] advances N prompts per
 //! decode step and [`score_options_batch`] scores every option of every
-//! question of a set in one ragged batch. The single-sequence entry points
-//! are batch-of-1 wrappers, and at one kernel thread the batched paths are
-//! bitwise-equal to looping them (see `tests/batch_equivalence.rs`).
+//! question of a set in one ragged batch. [`greedy_decode`],
+//! [`score_options`] and [`beam_search`] call the same batched engine
+//! entry points with a batch of one, and at one kernel thread a batch is
+//! bitwise-equal to running each of its sequences alone (see
+//! `tests/batch_equivalence.rs`).
+//!
+//! The `_uncached` functions recompute a full tape forward per step. They
+//! are the differential-test references for the cached engine, and the
+//! runtime path for hooks without incremental support (GRACE).
 
 use infuserki_tensor::{kernels, Matrix, SeqBatch, Tape};
 
@@ -188,9 +194,12 @@ pub fn score_options(
 /// cache in one further ragged batch — an MCQ template of N questions pays
 /// two batched forwards instead of N prefill + 4N extension calls. Returns
 /// one score vector per question, each matching [`score_options`] on that
-/// question alone (bitwise at one kernel thread). Questions with empty
-/// prompts, or hooks without incremental support, fall back to the uncached
-/// path exactly as the single-question entry point does.
+/// question alone (bitwise at one kernel thread). Hooks without incremental
+/// support fall back to the uncached path.
+///
+/// # Panics
+/// Panics if any prompt is empty: with no prompt row there is no
+/// prediction for an option's first token.
 pub fn score_options_batch<S: AsRef<[usize]>>(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -202,6 +211,10 @@ pub fn score_options_batch<S: AsRef<[usize]>>(
         options.len(),
         "score_options_batch: prompt/option mismatch"
     );
+    assert!(
+        prompts.iter().all(|p| !p.as_ref().is_empty()),
+        "score_options_batch: empty prompt"
+    );
     if prompts.is_empty() {
         return Vec::new();
     }
@@ -212,45 +225,36 @@ pub fn score_options_batch<S: AsRef<[usize]>>(
             .map(|(p, opts)| score_options_uncached(model, hook, p.as_ref(), opts))
             .collect();
     }
-    let mut scores: Vec<Vec<f32>> = vec![Vec::new(); prompts.len()];
-    let cached: Vec<usize> = (0..prompts.len())
-        .filter(|&q| !prompts[q].as_ref().is_empty())
-        .collect();
-    for q in 0..prompts.len() {
-        if prompts[q].as_ref().is_empty() {
-            scores[q] = score_options_uncached(model, hook, prompts[q].as_ref(), options[q]);
-        }
-    }
-    if cached.is_empty() {
-        return scores;
-    }
-    let cached_prompts: Vec<&[usize]> = cached.iter().map(|&q| prompts[q].as_ref()).collect();
-    let (cache, logits) = model.prefill_batch(&cached_prompts, hook);
-    let lens: Vec<usize> = cached_prompts.iter().map(|p| p.len()).collect();
+    let (cache, logits) = model.prefill_batch(prompts, hook);
+    let lens: Vec<usize> = prompts.iter().map(|p| p.as_ref().len()).collect();
     let pbatch = SeqBatch::from_lens(&lens);
     // Each prompt's last row predicts its options' first tokens; log-softmax
     // is row-local, so normalizing the extracted row matches the full path.
-    for (bi, &q) in cached.iter().enumerate() {
-        let last_lp =
-            kernels::log_softmax_rows(&Matrix::row_vec(logits.row(pbatch.last_row(bi)).to_vec()));
-        scores[q] = options[q]
-            .iter()
-            .map(|opt| {
-                assert!(!opt.is_empty(), "completion_logprob: empty completion");
-                last_lp.get(0, opt[0])
-            })
-            .collect();
-    }
+    let mut scores: Vec<Vec<f32>> = options
+        .iter()
+        .enumerate()
+        .map(|(q, opts)| {
+            let last_lp = kernels::log_softmax_rows(&Matrix::row_vec(
+                logits.row(pbatch.last_row(q)).to_vec(),
+            ));
+            opts.iter()
+                .map(|opt| {
+                    assert!(!opt.is_empty(), "completion_logprob: empty completion");
+                    last_lp.get(0, opt[0])
+                })
+                .collect()
+        })
+        .collect();
     // Multi-token options branch their prompt's cache (`gather` duplicates
     // the prefilled sequence once per option) and all branches extend
     // together as one ragged batch.
     let mut src: Vec<usize> = Vec::new();
     let mut which: Vec<(usize, usize)> = Vec::new();
     let mut chunks: Vec<&[usize]> = Vec::new();
-    for (bi, &q) in cached.iter().enumerate() {
-        for (oi, opt) in options[q].iter().enumerate() {
+    for (q, opts) in options.iter().enumerate() {
+        for (oi, opt) in opts.iter().enumerate() {
             if opt.len() > 1 {
-                src.push(bi);
+                src.push(q);
                 which.push((q, oi));
                 chunks.push(&opt[..opt.len() - 1]);
             }
@@ -337,7 +341,7 @@ pub fn beam_search(
     };
     let max_seq = model.config().max_seq;
     let root_branch = (prompt.len() < max_seq).then(|| {
-        let (cache, logits) = model.prefill(prompt, hook);
+        let (cache, logits) = model.prefill_batch(&[prompt], hook);
         let lp =
             kernels::log_softmax_rows(&Matrix::row_vec(logits.row(logits.rows() - 1).to_vec()));
         (cache, lp.into_vec())
@@ -381,7 +385,7 @@ pub fn beam_search(
                 tokens.push(tok);
                 let branch = (prompt.len() + tokens.len() < max_seq).then(|| {
                     let mut fork = cache.fork();
-                    let logits = model.decode_step(tok, hook, &mut fork);
+                    let logits = model.decode_step_batch(&[tok], hook, &mut fork);
                     let lp = kernels::log_softmax_rows(&logits);
                     (fork, lp.into_vec())
                 });
@@ -494,58 +498,6 @@ pub fn beam_search_uncached(
         .unwrap_or_default()
 }
 
-/// Top-k sampling: draws each next token from the renormalized top-`k`
-/// distribution with `temperature` scaling. Deterministic given `rng`.
-#[allow(clippy::too_many_arguments)]
-pub fn sample_top_k(
-    model: &TransformerLm,
-    hook: &dyn LayerHook,
-    prompt: &[usize],
-    max_new: usize,
-    k: usize,
-    temperature: f32,
-    eos: Option<usize>,
-    rng: &mut impl rand::Rng,
-) -> Vec<usize> {
-    assert!(k >= 1, "k must be at least 1");
-    assert!(temperature > 0.0, "temperature must be positive");
-    let mut tokens = prompt.to_vec();
-    let mut out = Vec::with_capacity(max_new);
-    for _ in 0..max_new {
-        if tokens.len() >= model.config().max_seq {
-            break;
-        }
-        let mut tape = Tape::new();
-        let logits = model.forward(&tokens, hook, &mut tape);
-        let v = tape.value(logits);
-        let mut last: Vec<f32> = v.row(v.rows() - 1).to_vec();
-        for x in &mut last {
-            *x /= temperature;
-        }
-        let mut idx: Vec<usize> = (0..last.len()).collect();
-        idx.sort_by(|&a, &b| last[b].total_cmp(&last[a]));
-        idx.truncate(k);
-        let max = last[idx[0]];
-        let weights: Vec<f32> = idx.iter().map(|&i| (last[i] - max).exp()).collect();
-        let total: f32 = weights.iter().sum();
-        let mut draw = rng.gen_range(0.0..total);
-        let mut next = idx[0];
-        for (pos, &w) in weights.iter().enumerate() {
-            if draw < w {
-                next = idx[pos];
-                break;
-            }
-            draw -= w;
-        }
-        if Some(next) == eos {
-            break;
-        }
-        out.push(next);
-        tokens.push(next);
-    }
-    out
-}
-
 /// Index of the maximum element (first on ties).
 pub fn argmax(xs: &[f32]) -> usize {
     let mut best = 0;
@@ -616,6 +568,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "empty prompt")]
+    fn score_options_rejects_an_empty_prompt() {
+        let m = model();
+        score_options(&m, &NoHook, &[], &[vec![5]]);
+    }
+
+    #[test]
     fn option_probabilities_sum_to_one() {
         let p = option_probabilities(&[-1.0, -2.0, -3.0, -4.0], &[1, 1, 2, 2]);
         let sum: f32 = p.iter().sum();
@@ -652,26 +611,6 @@ mod tests {
             score(&beam),
             score(&greedy)
         );
-    }
-
-    #[test]
-    fn top_k_sampling_is_seeded_and_bounded() {
-        let m = model();
-        let mut r1 = ChaCha8Rng::seed_from_u64(4);
-        let mut r2 = ChaCha8Rng::seed_from_u64(4);
-        let a = sample_top_k(&m, &NoHook, &[1], 5, 3, 1.0, None, &mut r1);
-        let b = sample_top_k(&m, &NoHook, &[1], 5, 3, 1.0, None, &mut r2);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&t| t < 30));
-    }
-
-    #[test]
-    fn top_k_one_is_greedy() {
-        let m = model();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let sampled = sample_top_k(&m, &NoHook, &[2, 3], 4, 1, 1.0, None, &mut rng);
-        let greedy = greedy_decode(&m, &NoHook, &[2, 3], 4, None);
-        assert_eq!(sampled, greedy);
     }
 
     #[test]

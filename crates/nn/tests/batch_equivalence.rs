@@ -1,7 +1,6 @@
 //! Differential equivalence for the ragged-batch runtime: running N
-//! sequences packed through `forward_batch` / `prefill_batch` /
-//! `decode_step_batch` / the batched samplers must reproduce the
-//! single-sequence path per sequence — **bitwise** with serial kernels, and
+//! sequences packed through `prefill_batch` / `decode_step_batch` / the
+//! batched samplers must reproduce running each sequence as a batch of one — **bitwise** with serial kernels, and
 //! within 1e-5 with the parallel row-banded kernels (banding depends on the
 //! total row count, which batching changes).
 //!
@@ -16,7 +15,7 @@ use std::sync::Mutex;
 
 use infuserki_nn::hooks::{ForwardTrace, LayerHook};
 use infuserki_nn::{sampler, ModelConfig, NoHook, TransformerLm};
-use infuserki_tensor::{init, kernels, Matrix, NodeId, Tape};
+use infuserki_tensor::{init, kernels, Matrix, NodeId, SeqBatch, Tape};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -152,9 +151,10 @@ fn hooks() -> Vec<(&'static str, Box<dyn LayerHook>)> {
 fn check_prefill(m: &TransformerLm, lens: &[usize], tol: Option<f32>) {
     let seqs: Vec<Vec<usize>> = lens.iter().enumerate().map(|(i, &l)| seq(l, i)).collect();
     for (name, hook) in hooks() {
-        let (packed, batch) = m.forward_batch(&seqs, hook.as_ref());
+        let (_, packed) = m.prefill_batch(&seqs, hook.as_ref());
+        let batch = SeqBatch::from_lens(lens);
         for (i, s) in seqs.iter().enumerate() {
-            let (_, single) = m.prefill(s, hook.as_ref());
+            let (_, single) = m.prefill_batch(&[s], hook.as_ref());
             let rng = batch.range(i);
             let got = packed.slice_rows(rng.start, rng.end);
             let ctx = format!("{name}, lens {lens:?}, seq {i}");
@@ -171,14 +171,17 @@ fn check_decode(m: &TransformerLm, lens: &[usize], steps: usize) {
     let seqs: Vec<Vec<usize>> = lens.iter().enumerate().map(|(i, &l)| seq(l, i)).collect();
     for (name, hook) in hooks() {
         let (mut bcache, _) = m.prefill_batch(&seqs, hook.as_ref());
-        let mut singles: Vec<_> = seqs.iter().map(|s| m.prefill(s, hook.as_ref()).0).collect();
+        let mut singles: Vec<_> = seqs
+            .iter()
+            .map(|s| m.prefill_batch(&[s], hook.as_ref()).0)
+            .collect();
         for step in 0..steps {
             let toks: Vec<usize> = (0..seqs.len())
                 .map(|i| (step * 5 + i * 3 + 1) % VOCAB)
                 .collect();
             let blogits = m.decode_step_batch(&toks, hook.as_ref(), &mut bcache);
             for (i, cache) in singles.iter_mut().enumerate() {
-                let slogits = m.decode_step(toks[i], hook.as_ref(), cache);
+                let slogits = m.decode_step_batch(&[toks[i]], hook.as_ref(), cache);
                 let got = Matrix::row_vec(blogits.row(i).to_vec());
                 assert_bitwise(
                     &slogits,
@@ -288,18 +291,21 @@ fn retiring_sequences_mid_decode_leaves_survivors_bitwise() {
     let seqs: Vec<Vec<usize>> = vec![seq(4, 0), seq(7, 1), seq(2, 2)];
     for (name, hook) in hooks() {
         let (mut bcache, _) = m.prefill_batch(&seqs, hook.as_ref());
-        let mut singles: Vec<_> = seqs.iter().map(|s| m.prefill(s, hook.as_ref()).0).collect();
+        let mut singles: Vec<_> = seqs
+            .iter()
+            .map(|s| m.prefill_batch(&[s], hook.as_ref()).0)
+            .collect();
         let toks = [3usize, 11, 19];
         m.decode_step_batch(&toks, hook.as_ref(), &mut bcache);
         for (i, cache) in singles.iter_mut().enumerate() {
-            m.decode_step(toks[i], hook.as_ref(), cache);
+            m.decode_step_batch(&[toks[i]], hook.as_ref(), cache);
         }
         bcache.retain_indices(&[0, 2]);
         for step in 0..3 {
             let toks = [(step * 2 + 5) % VOCAB, (step * 3 + 8) % VOCAB];
             let blogits = m.decode_step_batch(&toks, hook.as_ref(), &mut bcache);
             for (slot, &orig) in [0usize, 2].iter().enumerate() {
-                let slogits = m.decode_step(toks[slot], hook.as_ref(), &mut singles[orig]);
+                let slogits = m.decode_step_batch(&[toks[slot]], hook.as_ref(), &mut singles[orig]);
                 let got = Matrix::row_vec(blogits.row(slot).to_vec());
                 assert_bitwise(
                     &slogits,
@@ -310,19 +316,4 @@ fn retiring_sequences_mid_decode_leaves_survivors_bitwise() {
         }
     }
     kernels::set_num_threads(0);
-}
-
-/// Batch-of-1 really is the single path: the wrappers and the batched code
-/// agree bitwise even with the default (auto) thread setting, because the
-/// packed matrices are identical shapes.
-#[test]
-fn batch_of_one_is_the_single_path() {
-    let m = model(37);
-    let p = seq(6, 0);
-    for (name, hook) in hooks() {
-        let (full, batch) = m.forward_batch(&[&p], hook.as_ref());
-        assert_eq!(batch.n_seqs(), 1, "{name}");
-        let (_, single) = m.prefill(&p, hook.as_ref());
-        assert_bitwise(&single, &full, &format!("{name}, batch-of-1"));
-    }
 }

@@ -1,8 +1,8 @@
 //! Differential equivalence for the KV-cached incremental engine: the
-//! tape-free `prefill`/`extend_cached`/`decode_step` path must reproduce the
-//! tape forward **bitwise** with serial kernels, for every hook interception
-//! point (q/v deltas, prefix K/V, output rewrites) and every prompt length
-//! up to the context limit.
+//! tape-free `prefill_batch`/`extend_cached_batch`/`decode_step_batch` path,
+//! run on one sequence, must reproduce the tape forward **bitwise** with
+//! serial kernels, for every hook interception point (q/v deltas, prefix
+//! K/V, output rewrites) and every prompt length up to the context limit.
 //!
 //! The kernel thread override is process-global, so every test here takes a
 //! shared lock before touching it and restores the default before releasing.
@@ -158,7 +158,7 @@ fn prefill_matches_full_forward_bitwise_all_hooks_all_lengths() {
         for n in 1..=max_seq {
             let toks = tokens(n);
             let full = full_logits(&m, &toks, hook.as_ref());
-            let (_, cached) = m.prefill(&toks, hook.as_ref());
+            let (_, cached) = m.prefill_batch(&[&toks], hook.as_ref());
             assert_bitwise(&full, &cached, &format!("{name}, len {n}"));
         }
     }
@@ -175,10 +175,10 @@ fn chunked_extend_matches_full_forward_bitwise() {
         let full = full_logits(&m, &toks, hook.as_ref());
         // Uneven chunking: 1 + 5 + 2 + 9 tokens.
         for splits in [vec![1, 6, 8, 17], vec![4, 17], vec![16, 17]] {
-            let mut cache = m.new_cache(hook.as_ref());
+            let mut cache = m.new_cache_batch(hook.as_ref(), 1);
             let mut start = 0;
             for end in splits.clone() {
-                let logits = m.extend_cached(&toks[start..end], hook.as_ref(), &mut cache);
+                let logits = m.extend_cached_batch(&[&toks[start..end]], hook.as_ref(), &mut cache);
                 for (i, row) in (start..end).enumerate() {
                     let a = Matrix::row_vec(full.row(row).to_vec());
                     let b = Matrix::row_vec(logits.row(i).to_vec());
@@ -198,10 +198,10 @@ fn decode_step_matches_full_forward_bitwise() {
     let m = model(13);
     let toks = tokens(12);
     for (name, hook) in hooks() {
-        let (mut cache, first) = m.prefill(&toks[..1], hook.as_ref());
+        let (mut cache, first) = m.prefill_batch(&[&toks[..1]], hook.as_ref());
         let mut last_rows = vec![first.row(0).to_vec()];
         for &t in &toks[1..] {
-            let logits = m.decode_step(t, hook.as_ref(), &mut cache);
+            let logits = m.decode_step_batch(&[t], hook.as_ref(), &mut cache);
             last_rows.push(logits.row(0).to_vec());
         }
         let full = full_logits(&m, &toks, hook.as_ref());
@@ -222,10 +222,10 @@ fn forked_caches_evolve_independently_and_correctly() {
     let prefix = tokens(9);
     let suffixes: Vec<Vec<usize>> = vec![vec![1, 2], vec![3, 4, 5], vec![6]];
     for (name, hook) in hooks() {
-        let (cache, _) = m.prefill(&prefix, hook.as_ref());
+        let (cache, _) = m.prefill_batch(&[&prefix], hook.as_ref());
         for (si, suffix) in suffixes.iter().enumerate() {
             let mut branch = cache.fork();
-            let logits = m.extend_cached(suffix, hook.as_ref(), &mut branch);
+            let logits = m.extend_cached_batch(&[suffix], hook.as_ref(), &mut branch);
             let mut whole = prefix.clone();
             whole.extend_from_slice(suffix);
             let full = full_logits(&m, &whole, hook.as_ref());
@@ -250,7 +250,7 @@ fn prefill_matches_full_forward_with_parallel_kernels() {
         for n in [1, 5, 19, 32] {
             let toks = tokens(n);
             let full = full_logits(&m, &toks, hook.as_ref());
-            let (_, cached) = m.prefill(&toks, hook.as_ref());
+            let (_, cached) = m.prefill_batch(&[&toks], hook.as_ref());
             assert_close(
                 full.data(),
                 cached.data(),

@@ -841,13 +841,15 @@ impl<'a> Scheduler<'a> {
         let metrics = Arc::clone(&self.metrics);
         // Find or create the version's group. Group creation is where a
         // request *pins* its hook: the group holds the version's [`HookArc`]
-        // until its last lane retires. `new_cache_in` pre-opens exactly one
-        // empty sequence — this lane's.
+        // until its last lane retires. `new_cache_batch_in(.., 1, ..)`
+        // pre-opens exactly one empty sequence — this lane's.
         let g = match self.groups.iter().position(|g| g.version == version) {
             Some(i) => {
-                let fresh = self
-                    .model
-                    .new_cache_in(self.groups[i].hook.as_ref(), self.pool.clone());
+                let fresh = self.model.new_cache_batch_in(
+                    self.groups[i].hook.as_ref(),
+                    1,
+                    self.pool.clone(),
+                );
                 self.groups[i].cache.absorb(fresh);
                 &mut self.groups[i]
             }
@@ -863,7 +865,7 @@ impl<'a> Scheduler<'a> {
                     hook_stateful: entry.stateful,
                     cache: self
                         .model
-                        .new_cache_in(entry.hook.as_ref(), self.pool.clone()),
+                        .new_cache_batch_in(entry.hook.as_ref(), 1, self.pool.clone()),
                     lanes: Vec::new(),
                 });
                 self.groups.last_mut().unwrap()

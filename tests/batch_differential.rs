@@ -19,9 +19,9 @@ use infuserki::baselines::grace::{Grace, GraceConfig};
 use infuserki::baselines::lora::{LoraConfig, LoraMethod};
 use infuserki::baselines::prefix::{PrefixConfig, PrefixTuning};
 use infuserki::baselines::VisitTrainable;
-use infuserki::core::{InfuserKiConfig, InfuserKiMethod};
+use infuserki::core::{GateInput, InfuserKiConfig, InfuserKiMethod, Placement};
 use infuserki::nn::{sampler, LayerHook, LmSample, ModelConfig, TransformerLm};
-use infuserki::tensor::kernels;
+use infuserki::tensor::{kernels, SeqBatch};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -53,13 +53,45 @@ fn prefix(b: &TransformerLm) -> PrefixTuning {
 }
 
 fn infuserki(b: &TransformerLm) -> InfuserKiMethod {
+    infuserki_with(b, |_| {})
+}
+
+fn infuserki_with(b: &TransformerLm, tweak: impl FnOnce(&mut InfuserKiConfig)) -> InfuserKiMethod {
     let mut c = InfuserKiConfig::for_model(b.n_layers());
     c.bottleneck = 4;
     c.infuser_hidden = 4;
     c.rc_dim = 8;
+    tweak(&mut c);
     let mut m = InfuserKiMethod::new(c, b, 5);
     m.visit_adapters_mut(&mut nudge);
     m
+}
+
+/// Every combination of the paper's InfuserKI variants, the default
+/// configuration first: adapters on the FFN or the attention sublayer, with
+/// or without the infuser gate (the w/o-Ro ablation), and the gate pooling
+/// the sublayer input or its output.
+fn infuserki_variants(b: &TransformerLm) -> Vec<(String, InfuserKiMethod)> {
+    let mut out = Vec::new();
+    for attention in [false, true] {
+        for use_infuser in [true, false] {
+            for gate_out in [false, true] {
+                let m = infuserki_with(b, |c| {
+                    if attention {
+                        c.placement = Placement::attention(b.n_layers());
+                    }
+                    c.ablation.use_infuser = use_infuser;
+                    if gate_out {
+                        c.gate_input = GateInput::SublayerOut;
+                    }
+                });
+                let name =
+                    format!("attention {attention}, infuser {use_infuser}, gate out {gate_out}");
+                out.push((name, m));
+            }
+        }
+    }
+    out
 }
 
 /// A ragged batch of prompts (lengths 6, 9, 1, 4) with distinct contents.
@@ -133,12 +165,13 @@ fn infuserki_batched_sampling_is_bitwise_identical() {
     let _g = THREADS.lock().unwrap();
     kernels::set_num_threads(1);
     let b = base();
-    let m = infuserki(&b);
-    let hook = m.hook();
-    assert!(hook.supports_incremental());
-    assert_batched_matches_looped(&b, &hook, "infuserki hook");
-    // The method doubles as a hook itself; both views must share the path.
-    assert_batched_matches_looped(&b, &m, "infuserki method");
+    for (variant, m) in infuserki_variants(&b) {
+        let hook = m.hook();
+        assert!(hook.supports_incremental());
+        assert_batched_matches_looped(&b, &hook, &format!("infuserki hook, {variant}"));
+        // The method doubles as a hook itself; both views must share the path.
+        assert_batched_matches_looped(&b, &m, &format!("infuserki method, {variant}"));
+    }
     kernels::set_num_threads(0);
 }
 
@@ -152,9 +185,11 @@ fn infuserki_batched_prefill_isolates_per_sequence_state() {
     let ps = prompts();
     // Packed batched forward vs each sequence alone: the gate statistics and
     // adapter carry must pool within one sequence only.
-    let (packed, batch) = b.forward_batch(&ps, &hook);
+    let (_, packed) = b.prefill_batch(&ps, &hook);
+    let lens: Vec<usize> = ps.iter().map(Vec::len).collect();
+    let batch = SeqBatch::from_lens(&lens);
     for (i, p) in ps.iter().enumerate() {
-        let (_, single) = b.prefill(p, &hook);
+        let (_, single) = b.prefill_batch(&[p], &hook);
         let rng = batch.range(i);
         let got = packed.slice_rows(rng.start, rng.end);
         assert_eq!(single.shape(), got.shape(), "seq {i}");

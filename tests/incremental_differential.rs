@@ -13,7 +13,7 @@ use infuserki::baselines::grace::{Grace, GraceConfig};
 use infuserki::baselines::lora::{LoraConfig, LoraMethod};
 use infuserki::baselines::prefix::{PrefixConfig, PrefixTuning};
 use infuserki::baselines::VisitTrainable;
-use infuserki::core::{InfuserKiConfig, InfuserKiMethod};
+use infuserki::core::{GateInput, InfuserKiConfig, InfuserKiMethod, Placement};
 use infuserki::nn::{sampler, LayerHook, LmSample, ModelConfig, TransformerLm};
 use infuserki::tensor::{kernels, Tape};
 use rand::SeedableRng;
@@ -48,13 +48,45 @@ fn prefix(b: &TransformerLm) -> PrefixTuning {
 }
 
 fn infuserki(b: &TransformerLm) -> InfuserKiMethod {
+    infuserki_with(b, |_| {})
+}
+
+fn infuserki_with(b: &TransformerLm, tweak: impl FnOnce(&mut InfuserKiConfig)) -> InfuserKiMethod {
     let mut c = InfuserKiConfig::for_model(b.n_layers());
     c.bottleneck = 4;
     c.infuser_hidden = 4;
     c.rc_dim = 8;
+    tweak(&mut c);
     let mut m = InfuserKiMethod::new(c, b, 5);
     m.visit_adapters_mut(&mut nudge);
     m
+}
+
+/// Every combination of the paper's InfuserKI variants, the default
+/// configuration first: adapters on the FFN or the attention sublayer, with
+/// or without the infuser gate (the w/o-Ro ablation), and the gate pooling
+/// the sublayer input or its output.
+fn infuserki_variants(b: &TransformerLm) -> Vec<(String, InfuserKiMethod)> {
+    let mut out = Vec::new();
+    for attention in [false, true] {
+        for use_infuser in [true, false] {
+            for gate_out in [false, true] {
+                let m = infuserki_with(b, |c| {
+                    if attention {
+                        c.placement = Placement::attention(b.n_layers());
+                    }
+                    c.ablation.use_infuser = use_infuser;
+                    if gate_out {
+                        c.gate_input = GateInput::SublayerOut;
+                    }
+                });
+                let name =
+                    format!("attention {attention}, infuser {use_infuser}, gate out {gate_out}");
+                out.push((name, m));
+            }
+        }
+    }
+    out
 }
 
 fn prompt() -> Vec<usize> {
@@ -111,12 +143,13 @@ fn infuserki_cached_sampling_is_bitwise_identical() {
     let _g = THREADS.lock().unwrap();
     kernels::set_num_threads(1);
     let b = base();
-    let m = infuserki(&b);
-    let hook = m.hook();
-    assert!(hook.supports_incremental());
-    assert_samplers_agree(&b, &hook, "infuserki hook");
-    // The method doubles as a hook itself; both views must share the path.
-    assert_samplers_agree(&b, &m, "infuserki method");
+    for (variant, m) in infuserki_variants(&b) {
+        let hook = m.hook();
+        assert!(hook.supports_incremental());
+        assert_samplers_agree(&b, &hook, &format!("infuserki hook, {variant}"));
+        // The method doubles as a hook itself; both views must share the path.
+        assert_samplers_agree(&b, &m, &format!("infuserki method, {variant}"));
+    }
     kernels::set_num_threads(0);
 }
 
@@ -132,7 +165,7 @@ fn infuserki_prefill_matches_tape_forward_every_length() {
         let toks: Vec<usize> = (0..n).map(|i| (i * 11 + 5) % VOCAB).collect();
         let mut tape = Tape::new();
         let full = b.forward(&toks, &hook, &mut tape);
-        let (_, cached) = b.prefill(&toks, &hook);
+        let (_, cached) = b.prefill_batch(&[&toks], &hook);
         let fv = tape.value(full);
         assert_eq!(fv.shape(), cached.shape(), "len {n}");
         for (i, (x, y)) in fv.data().iter().zip(cached.data()).enumerate() {
